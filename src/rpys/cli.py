@@ -15,22 +15,17 @@ import csv
 import glob
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import (
-    Corpus,
-    CorpusDiagnostics,
-    CorpusError,
-    CorpusStats,
-    build_corpus,
-    corpus_stats,
-)
+from .corpus import Corpus, CorpusError, CorpusStats, build_corpus, corpus_stats
 from .profiles import author_breakdown, drill_year
 from .spectrum import (
     DeviationSeries,
+    Peak,
     Spectrum,
     compute_spectrum,
     detect_peaks,
@@ -39,10 +34,11 @@ from .spectrum import (
 from .svgplot import render_spectrogram
 from .textnorm import normalize_author
 from .wos import (
+    MAX_RPY,
+    MIN_RPY,
     TAB_DELIMITED,
     TAGGED,
     ExportParseError,
-    ParseDiagnostics,
     UnrecognizedFormatError,
     load_export,
 )
@@ -109,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--range",
         dest="year_range",
         metavar="LO:HI",
-        help="valid referenced-year range; also pins the report axis",
+        help=f"valid referenced-year range within {MIN_RPY}:{MAX_RPY}; also pins the axis",
     )
     common.add_argument(
         "--min-deviation",
@@ -150,6 +146,8 @@ def _parse_year_range(text: str) -> tuple[int, int]:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         raise CliError(f"invalid --range {text!r}: lower bound exceeds upper bound")
+    if lo < MIN_RPY or hi > MAX_RPY:
+        raise CliError(f"invalid --range {text!r}: years must lie within {MIN_RPY}:{MAX_RPY}")
     return lo, hi
 
 
@@ -159,8 +157,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise CliError("at least one --input path is required")
     if args.top < 1:
         raise CliError("--top must be at least 1")
-    if args.min_deviation < 0:
-        raise CliError("--min-deviation must be non-negative")
+    if not math.isfinite(args.min_deviation) or args.min_deviation < 0:
+        raise CliError("--min-deviation must be a finite non-negative number")
     journals = None
     if args.journals is not None:
         journals = [j.strip() for j in args.journals.split(",") if j.strip()]
@@ -192,11 +190,10 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return [Path(p) for p in sorted(found)]
 
 
-def _load_corpus(config: RunConfig) -> tuple[Corpus, CorpusDiagnostics, ParseDiagnostics]:
-    paths = _expand_inputs(config.inputs)
+def _load_corpus(config: RunConfig) -> Corpus:
     records = []
-    parse_diag = ParseDiagnostics()
-    for path in paths:
+    malformed = 0
+    for path in _expand_inputs(config.inputs):
         try:
             recs, diag, _ = load_export(path, config.fmt, strict=config.strict)
         except OSError as exc:
@@ -204,31 +201,38 @@ def _load_corpus(config: RunConfig) -> tuple[Corpus, CorpusDiagnostics, ParseDia
         except (UnrecognizedFormatError, ExportParseError) as exc:
             raise CliError(f"{path}: {exc}") from exc
         records.extend(recs)
-        parse_diag.records_parsed += diag.records_parsed
-        parse_diag.cr_lines_parsed += diag.cr_lines_parsed
-        parse_diag.cr_lines_without_year += diag.cr_lines_without_year
-        parse_diag.malformed_positions.extend(diag.malformed_positions)
+        malformed += diag.malformed_records
     journal_filter = set(config.journals) if config.journals else None
     try:
         corpus, corpus_diag = build_corpus(records, journal_filter, strict=config.strict)
     except CorpusError as exc:
         raise CliError(str(exc)) from exc
     issues = []
-    if parse_diag.malformed_records:
-        issues.append(f"skipped {parse_diag.malformed_records} malformed record block(s)")
+    if malformed:
+        issues.append(f"skipped {malformed} malformed record block(s)")
     if corpus_diag.excluded_missing_fields:
         issues.append(
             f"excluded {corpus_diag.excluded_missing_fields} record(s) lacking PY or SO"
         )
     if issues:
         print("rpys: " + "; ".join(issues), file=sys.stderr)
-    return corpus, corpus_diag, parse_diag
+    return corpus
 
 
-def _spectrum_for(config: RunConfig, corpus: Corpus) -> Spectrum:
-    return compute_spectrum(
-        corpus, config.year_range, pin=config.year_range is not None
+def _analyze(config: RunConfig) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
+    """Load, count, smooth and rank peaks.
+
+    With no usable year the series is None and the peak list empty; the
+    renderers turn that into header-only tables and a bare chart.
+    """
+    spectrum = compute_spectrum(
+        _load_corpus(config), config.year_range, pin=config.year_range is not None
     )
+    if spectrum.is_empty:
+        print("no cited references with usable years")
+        return spectrum, None, []
+    series = median_deviation(spectrum)
+    return spectrum, series, detect_peaks(series, config.min_deviation, config.top_k)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -263,11 +267,10 @@ def render_rpys_csv(spectrum: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_median_csv(series: DeviationSeries) -> str:
+def render_median_csv(series: DeviationSeries | None) -> str:
     lines = ["rpy,n_cr,median5,deviation"]
-    lines.extend(
-        f"{year},{n},{_dec1(m)},{_dec1(d)}" for year, n, m, d in series.rows()
-    )
+    rows = series.rows() if series is not None else ()
+    lines.extend(f"{year},{n},{_dec1(m)},{_dec1(d)}" for year, n, m, d in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -300,7 +303,7 @@ def _slug(name: str) -> str:
 
 
 def cmd_stats(config: RunConfig) -> int:
-    corpus, _, _ = _load_corpus(config)
+    corpus = _load_corpus(config)
     stats = corpus_stats(corpus)
     print(_stats_table(stats))
     if config.out_dir is not None:
@@ -311,36 +314,22 @@ def cmd_stats(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    corpus, _, _ = _load_corpus(config)
-    spectrum = _spectrum_for(config, corpus)
+    spectrum, series, _ = _analyze(config)
     out = _out_dir(config)
-    if spectrum.is_empty:
-        _write_text(out / RPYS_CSV, "rpy,n_cr\n")
-        _write_text(out / MEDIAN_CSV, "rpy,n_cr,median5,deviation\n")
-        print("no cited references with usable years; wrote empty tables")
-        return EXIT_EMPTY
-    series = median_deviation(spectrum)
     _write_text(out / RPYS_CSV, render_rpys_csv(spectrum))
     _write_text(out / MEDIAN_CSV, render_median_csv(series))
-    first, last = spectrum.year_range
     print(
-        f"{spectrum.total} cited references across {first}-{last} "
-        f"({spectrum.dropped_out_of_range} outside valid range); "
+        f"{spectrum.total} cited references over {len(spectrum.counts)} years "
+        f"({spectrum.dropped_out_of_range} outside valid range, "
+        f"{spectrum.without_year} without a year); "
         f"wrote {out / RPYS_CSV}, {out / MEDIAN_CSV}"
     )
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
 
 def cmd_peaks(config: RunConfig) -> int:
-    corpus, _, _ = _load_corpus(config)
-    spectrum = _spectrum_for(config, corpus)
+    _, series, peaks = _analyze(config)
     out = _out_dir(config)
-    if spectrum.is_empty:
-        _write_json(out / PEAKS_JSON, [])
-        print("no cited references with usable years; wrote empty peak list")
-        return EXIT_EMPTY
-    series = median_deviation(spectrum)
-    peaks = detect_peaks(series, config.min_deviation, config.top_k)
     payload = [
         {
             "year": p.year,
@@ -380,7 +369,7 @@ def _profile_payload(profile) -> dict:
 
 
 def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
-    corpus, _, _ = _load_corpus(config)
+    corpus = _load_corpus(config)
     out = _out_dir(config)
 
     if author is not None:
@@ -426,37 +415,28 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
 
 
 def cmd_plot(config: RunConfig) -> int:
-    corpus, _, _ = _load_corpus(config)
-    spectrum = _spectrum_for(config, corpus)
-    out = _out_dir(config)
-    path = out / SPECTROGRAM_SVG
-    if spectrum.is_empty:
-        _write_text(path, render_spectrogram(None, []))
-        print(f"no cited references with usable years; wrote bare {path}")
-        return EXIT_EMPTY
-    series = median_deviation(spectrum)
-    peaks = detect_peaks(series, config.min_deviation, config.top_k)
+    spectrum, series, peaks = _analyze(config)
+    path = _out_dir(config) / SPECTROGRAM_SVG
     _write_text(path, render_spectrogram(series, peaks))
     print(f"wrote {path} ({len(peaks)} peak years labeled)")
-    return EXIT_OK
+    return EXIT_OK if spectrum.total else EXIT_EMPTY
+
+
+# Subcommand -> handler(config, parsed args).
+_COMMANDS = {
+    "stats": lambda config, args: cmd_stats(config),
+    "spectrum": lambda config, args: cmd_spectrum(config),
+    "peaks": lambda config, args: cmd_peaks(config),
+    "drill": lambda config, args: cmd_drill(config, args.year, args.author),
+    "plot": lambda config, args: cmd_plot(config),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        if args.command == "stats":
-            return cmd_stats(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "peaks":
-            return cmd_peaks(config)
-        if args.command == "drill":
-            return cmd_drill(config, args.year, args.author)
-        if args.command == "plot":
-            return cmd_plot(config)
-        raise CliError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](config_from_args(args), args)
     except CliError as exc:
         print(f"rpys: {exc}", file=sys.stderr)
         return EXIT_ERROR

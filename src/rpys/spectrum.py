@@ -12,13 +12,14 @@ occur).  Floats would drift under equality testing; Fractions do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
+from .wos import MAX_RPY
 
 DEFAULT_MIN_RPY = 1500
-_FALLBACK_MAX_RPY = 2100
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,12 +27,15 @@ class Spectrum:
     """Dense per-year cited-reference counts over an inclusive year range.
 
     ``year_range`` is None for an empty spectrum.  Years with no
-    references inside the range hold explicit zeros.
+    references inside the range hold explicit zeros.  Every reference of
+    the corpus lands in exactly one of ``total``, ``dropped_out_of_range``
+    and ``without_year``.
     """
 
     year_range: tuple[int, int] | None
     counts: tuple[int, ...]
     dropped_out_of_range: int = 0
+    without_year: int = 0
 
     @property
     def is_empty(self) -> bool:
@@ -94,23 +98,25 @@ def compute_spectrum(
 
     Only references whose year falls inside ``valid_range`` are counted;
     years outside it increment ``dropped_out_of_range`` and year-less
-    references are ignored entirely.  The default range is [1500, max
+    references increment ``without_year``.  The default range is [1500, max
     citing publication year], wide enough for genuinely old sources but
     excluding mangled years.  The reported axis is trimmed to the first
     and last nonzero years unless ``pin`` keeps the full range.
     """
     if valid_range is None:
         hi = corpus.max_pub_year
-        valid_range = (DEFAULT_MIN_RPY, hi if hi is not None else _FALLBACK_MAX_RPY)
+        valid_range = (DEFAULT_MIN_RPY, hi if hi is not None else MAX_RPY)
     lo, hi = valid_range
     if lo > hi:
         raise ValueError(f"invalid year range {lo}:{hi}")
 
     counter: dict[int, int] = {}
     dropped = 0
+    without_year = 0
     for ref in corpus.iter_refs():
         year = ref.year
         if year is None:
+            without_year += 1
             continue
         if lo <= year <= hi:
             counter[year] = counter.get(year, 0) + 1
@@ -122,10 +128,10 @@ def compute_spectrum(
     elif counter:
         first, last = min(counter), max(counter)
     else:
-        return Spectrum(year_range=None, counts=(), dropped_out_of_range=dropped)
+        return Spectrum(None, (), dropped, without_year)
 
     counts = tuple(counter.get(y, 0) for y in range(first, last + 1))
-    return Spectrum(year_range=(first, last), counts=counts, dropped_out_of_range=dropped)
+    return Spectrum((first, last), counts, dropped, without_year)
 
 
 def _window_median(counts: tuple[int, ...], center: int) -> Fraction:
@@ -163,6 +169,8 @@ def _as_fraction(value) -> Fraction:
     # Floats arrive from the command line as decimal strings; convert
     # through str so 0.1 means 1/10, not its binary approximation.
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"min_deviation must be finite, got {value!r}")
         return Fraction(str(value))
     return Fraction(value)
 

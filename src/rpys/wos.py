@@ -34,6 +34,11 @@ _TAG_LINE = re.compile(r"^([A-Z0-9]{2})(?: (.*))?$")
 _TAG_NAME = re.compile(r"^[A-Z0-9]{2}$")
 _FILE_HEADER_TAGS = ("FN", "VR")
 
+# Window of years a cited reference may carry; a 4-digit segment outside
+# it is not read as a year.
+MIN_RPY = 1000
+MAX_RPY = 2100
+
 
 class UnrecognizedFormatError(ValueError):
     """Input is neither a tagged export nor a tab-delimited one."""
@@ -87,7 +92,6 @@ class ParseDiagnostics:
 
     records_parsed: int = 0
     cr_lines_parsed: int = 0
-    cr_lines_without_year: int = 0
     malformed_positions: list[int] = field(default_factory=list)
 
     @property
@@ -123,10 +127,14 @@ def parse_export(
     raises :class:`ExportParseError` at the first defect.
     """
     if fmt == TAGGED:
-        return _parse_tagged(text, strict)
-    if fmt == TAB_DELIMITED:
-        return _parse_tab_delimited(text, strict)
-    raise ValueError(f"unknown export format {fmt!r}")
+        records, diag = _parse_tagged(text, strict)
+    elif fmt == TAB_DELIMITED:
+        records, diag = _parse_tab_delimited(text, strict)
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")
+    diag.records_parsed = len(records)
+    diag.cr_lines_parsed = sum(len(r.get("CR")) for r in records)
+    return records, diag
 
 
 def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
@@ -138,14 +146,6 @@ def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
         else:
             del tags["CR"]
     return RawRecord(tags)
-
-
-def _summarize_cr(records: list[RawRecord], diag: ParseDiagnostics) -> None:
-    for record in records:
-        for line in record.get("CR"):
-            diag.cr_lines_parsed += 1
-            if parse_cited_reference(line).year is None:
-                diag.cr_lines_without_year += 1
 
 
 def _parse_tagged(text: str, strict: bool) -> tuple[list[RawRecord], ParseDiagnostics]:
@@ -254,8 +254,6 @@ def _parse_tagged(text: str, strict: bool) -> tuple[list[RawRecord], ParseDiagno
             )
         diag.malformed_positions.append(last)
 
-    diag.records_parsed = len(records)
-    _summarize_cr(records, diag)
     return records, diag
 
 
@@ -294,8 +292,6 @@ def _parse_tab_delimited(
                 tags[tag] = [value]
         records.append(RawRecord(tags))
 
-    diag.records_parsed = len(records)
-    _summarize_cr(records, diag)
     return records, diag
 
 
@@ -304,7 +300,7 @@ def _is_rpy(segment: str) -> bool:
         len(segment) == 4
         and segment.isascii()
         and segment.isdigit()
-        and 1000 <= int(segment) <= 2100
+        and MIN_RPY <= int(segment) <= MAX_RPY
     )
 
 
@@ -332,7 +328,8 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     Grammar: segments split on ``", "``.  The first segment is the
     author token, except when it is itself the year (anonymous works
     shift the year into first position, leaving the author absent).
-    The year is the first standalone 4-digit segment in [1000, 2100];
+    The year is the first standalone 4-digit segment in
+    [``MIN_RPY``, ``MAX_RPY``];
     the segment after it is the source unless it looks like a volume,
     page or DOI segment.  ``Vnn`` / ``Pnn`` / ``DOI ...`` segments fill
     volume, page and doi; everything else is ignored.  Never raises on

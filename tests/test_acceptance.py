@@ -280,8 +280,11 @@ def test_c7_conservation_over_random_corpora():
 
         total_cr_lines = diag.cr_lines_parsed
         assert (
-            spectrum.total + spectrum.dropped_out_of_range + diag.cr_lines_without_year
+            spectrum.total + spectrum.dropped_out_of_range + spectrum.without_year
             == total_cr_lines
+        )
+        assert spectrum.without_year == sum(
+            1 for ref in corpus.iter_refs() if ref.year is None
         )
 
         nonzero_years = [y for y in spectrum.years() if spectrum.count_at(y)]

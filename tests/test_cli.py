@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rpys.cli import main
 
@@ -118,6 +120,14 @@ class TestSpectrumCommand:
             ["spectrum", "--input", spike_export, "--range", "1902:1904", "--out", str(out)]
         ) == 0
         assert "6 outside valid range" in capsys.readouterr().out
+
+    def test_reports_references_without_year(self, tmp_path, capsys):
+        crs = ["A B, 1950, X", "C D, 1951, Y", "HUME D, TREATISE", "1400, ANON WORK"]
+        crs += ["NOYEAR B, UNTITLED MANUSCRIPT"]
+        path = write_export(tmp_path / "mixed.txt", [citing_record("WOS:1", crs=crs)])
+        out = tmp_path / "out"
+        assert main(["spectrum", "--input", path, "--out", str(out)]) == 0
+        assert "1 outside valid range, 2 without a year" in capsys.readouterr().out
 
     def test_no_usable_years_exits_one(self, tmp_path):
         path = write_export(
@@ -247,6 +257,13 @@ class TestPlotCommand:
         assert "<polyline" not in svg
         assert "<svg" in svg
 
+    def test_pinned_range_without_references_exits_one(self, spike_export, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--input", spike_export, "--range", "1000:1010", "--out", str(out)]
+        assert main(["spectrum", *argv]) == 1
+        assert main(["plot", *argv]) == 1
+        assert (out / "spectrogram.svg").exists()
+
     def test_rerun_is_byte_identical(self, spike_export, tmp_path):
         out = tmp_path / "out"
         main(["plot", "--input", spike_export, "--out", str(out)])
@@ -302,13 +319,18 @@ class TestFlagsAndErrors:
     def test_bad_range_exits_two(self, spike_export, capsys):
         assert main(["spectrum", "--input", spike_export, "--range", "1905"]) == 2
         assert main(["spectrum", "--input", spike_export, "--range", "1950:1900"]) == 2
+        assert main(["spectrum", "--input", spike_export, "--range", "0:99999"]) == 2
+        assert main(["spectrum", "--input", spike_export, "--range", "999:1905"]) == 2
+        assert main(["spectrum", "--input", spike_export, "--range", "1900:2101"]) == 2
         assert "--range" in capsys.readouterr().err
 
     def test_bad_top_exits_two(self, spike_export):
         assert main(["peaks", "--input", spike_export, "--top", "0"]) == 2
 
     def test_negative_min_deviation_exits_two(self, spike_export):
-        assert main(["peaks", "--input", spike_export, "--min-deviation", "-1"]) == 2
+        for value in ("-1", "nan", "inf", "-inf"):
+            argv = ["peaks", "--input", spike_export, f"--min-deviation={value}"]
+            assert main(argv) == 2, value
 
     def test_strict_mode_fails_on_malformed_block(self, tmp_path, capsys):
         text = "FN WoS\nVR 1.0\nPT J\nSO X\nPY 2000\nUT WOS:1\nEF\n"  # missing ER
@@ -352,3 +374,31 @@ class TestFlagsAndErrors:
             assert main([cmd, *args_b, "--out", str(out_b)]) == 0
         for name in ("rpys.csv", "median.csv", "peaks.json", "spectrogram.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["spectrum", "peaks", "plot"]),
+    min_deviation=st.one_of(
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.0]),
+        st.floats(),
+    ),
+    year_range=st.one_of(
+        st.none(),
+        st.from_regex(r"\d{1,5}:\d{1,5}", fullmatch=True),
+        st.text(max_size=12),
+    ),
+    top=st.integers(-5, 50),
+)
+def test_main_only_returns_exit_codes(
+    spike_export, tmp_path, command, min_deviation, year_range, top
+):
+    argv = [command, "--input", spike_export, "--out", str(tmp_path / "out")]
+    argv += [f"--min-deviation={min_deviation}", f"--top={top}"]
+    if year_range is not None:
+        argv.append(f"--range={year_range}")
+    assert main(argv) in (0, 1, 2)

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpys.corpus
+import rpys.wos
 from rpys import (
     CorpusError,
     UNKNOWN_AUTHOR,
     build_corpus,
     corpus_stats,
+    load_export,
     normalize_author,
     parse_cited_reference,
     parse_export,
@@ -153,6 +156,30 @@ class TestBuildCorpus:
         forward, _ = build_corpus(_parse(blocks))
         backward, _ = build_corpus(_parse(blocks[::-1]))
         assert forward.total_cited_refs == backward.total_cited_refs == 3
+
+    def test_each_cr_line_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(line):
+            calls.append(line)
+            return parse_cited_reference(line)
+
+        monkeypatch.setattr(rpys.wos, "parse_cited_reference", counting)
+        monkeypatch.setattr(rpys.corpus, "parse_cited_reference", counting)
+        crs = ["A B, 1950, X", "HUME D, TREATISE", "A B, 1950, X"]
+        tagged = tmp_path / "tagged.txt"
+        tagged.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+        tsv = tmp_path / "table.txt"
+        tsv.write_text(
+            "PT\tSO\tPY\tCR\tUT\nJ\tMIND\t2010\t" + "; ".join(crs) + "\tWOS:2\n",
+            encoding="utf-8",
+        )
+        for path in (tagged, tsv):
+            calls.clear()
+            records, diag, _ = load_export(path)
+            build_corpus(records)
+            assert diag.cr_lines_parsed == len(crs)
+            assert calls == crs
 
 
 class TestCorpusStats:

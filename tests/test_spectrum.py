@@ -116,6 +116,7 @@ class TestComputeSpectrum:
         spectrum = compute_spectrum(Corpus((record,)))
         assert spectrum.total == 1
         assert spectrum.dropped_out_of_range == 0
+        assert spectrum.without_year == 1
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +232,11 @@ class TestDetectPeaks:
         peaks = detect_peaks(series_of_deviations([0, 1, 0]), min_deviation=0.5)
         assert [p.year for p in peaks] == [2001]
         assert detect_peaks(series_of_deviations([0, 1, 0]), min_deviation=1.0) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            detect_peaks(series_of_deviations([0, 1, 0]), min_deviation=value)
 
     @settings(max_examples=150)
     @given(st.lists(st.integers(0, 500), min_size=1, max_size=40))
