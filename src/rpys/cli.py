@@ -225,9 +225,7 @@ def _analyze(config: RunConfig) -> tuple[Spectrum, DeviationSeries | None, list[
     With no usable year the series is None and the peak list empty; the
     renderers turn that into header-only tables and a bare chart.
     """
-    spectrum = compute_spectrum(
-        _load_corpus(config), config.year_range, pin=config.year_range is not None
-    )
+    spectrum = compute_spectrum(_load_corpus(config), config.year_range)
     if spectrum.is_empty:
         print("no cited references with usable years")
         return spectrum, None, []

@@ -92,23 +92,25 @@ class Peak:
 def compute_spectrum(
     corpus: Corpus,
     valid_range: tuple[int, int] | None = None,
-    pin: bool = False,
 ) -> Spectrum:
     """Count cited references per referenced publication year.
 
     Only references whose year falls inside ``valid_range`` are counted;
     years outside it increment ``dropped_out_of_range`` and year-less
-    references increment ``without_year``.  The default range is [1500, max
-    citing publication year], wide enough for genuinely old sources but
-    excluding mangled years.  The reported axis is trimmed to the first
-    and last nonzero years unless ``pin`` keeps the full range.
+    references increment ``without_year``.  An explicit ``valid_range``
+    also pins the reported axis to the full range.  The default range is
+    [1500, max citing publication year], wide enough for genuinely old
+    sources but excluding mangled years, and its axis is trimmed to the
+    first and last nonzero years; when every citing year precedes 1500
+    it is empty and every dated reference is out of range.
     """
-    if valid_range is None:
-        hi = corpus.max_pub_year
-        valid_range = (DEFAULT_MIN_RPY, hi if hi is not None else MAX_RPY)
-    lo, hi = valid_range
-    if lo > hi:
-        raise ValueError(f"invalid year range {lo}:{hi}")
+    if valid_range is not None:
+        lo, hi = valid_range
+        if lo > hi:
+            raise ValueError(f"invalid year range {lo}:{hi}")
+    else:
+        newest = corpus.max_pub_year
+        lo, hi = DEFAULT_MIN_RPY, newest if newest is not None else MAX_RPY
 
     counter: dict[int, int] = {}
     dropped = 0
@@ -123,7 +125,7 @@ def compute_spectrum(
         else:
             dropped += 1
 
-    if pin:
+    if valid_range is not None:
         first, last = lo, hi
     elif counter:
         first, last = min(counter), max(counter)

@@ -19,7 +19,9 @@ raw text.
 
 from __future__ import annotations
 
+import codecs
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +35,9 @@ TAB_DELIMITED = "tab_delimited"
 _TAG_LINE = re.compile(r"^([A-Z0-9]{2})(?: (.*))?$")
 _TAG_NAME = re.compile(r"^[A-Z0-9]{2}$")
 _FILE_HEADER_TAGS = ("FN", "VR")
+
+# Reports a structural defect at a 1-based line; built by parse_export.
+_Defect = Callable[[int, str], None]
 
 # Window of years a cited reference may carry; a 4-digit segment outside
 # it is not read as a year.
@@ -99,6 +104,13 @@ class ParseDiagnostics:
         return len(self.malformed_positions)
 
 
+def _lines(text: str) -> list[str]:
+    """Split export text into lines without a leading BOM or trailing CRs."""
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    lines[0] = lines[0].lstrip("\ufeff")
+    return lines
+
+
 def detect_format(text: str) -> str:
     """Classify an export by its first line.
 
@@ -106,7 +118,7 @@ def detect_format(text: str) -> str:
     the PY and CR tags marks a tab-delimited one.  Anything else raises
     :class:`UnrecognizedFormatError`.
     """
-    first = text.split("\n", 1)[0].lstrip("﻿").rstrip("\r")
+    [first] = _lines(text.partition("\n")[0])
     if first.startswith("FN"):
         return TAGGED
     cells = [cell.strip() for cell in first.split("\t")]
@@ -127,11 +139,19 @@ def parse_export(
     raises :class:`ExportParseError` at the first defect.
     """
     if fmt == TAGGED:
-        records, diag = _parse_tagged(text, strict)
+        parse = _parse_tagged
     elif fmt == TAB_DELIMITED:
-        records, diag = _parse_tab_delimited(text, strict)
+        parse = _parse_tab_delimited
     else:
         raise ValueError(f"unknown export format {fmt!r}")
+    diag = ParseDiagnostics()
+
+    def defect(lineno: int, message: str) -> None:
+        if strict:
+            raise ExportParseError(f"line {lineno}: {message}", lineno)
+        diag.malformed_positions.append(lineno)
+
+    records = parse(_lines(text), defect)
     diag.records_parsed = len(records)
     diag.cr_lines_parsed = sum(len(r.get("CR")) for r in records)
     return records, diag
@@ -148,136 +168,69 @@ def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
     return RawRecord(tags)
 
 
-def _parse_tagged(text: str, strict: bool) -> tuple[list[RawRecord], ParseDiagnostics]:
+def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
     records: list[RawRecord] = []
-    diag = ParseDiagnostics()
-    lines = text.split("\n")
-    tags: dict[str, list[str]] | None = None
-    current_tag: str | None = None
-    skipping = False  # resyncing to the next ER after a malformed block
-    seen_ef = False
-
-    for lineno, rawline in enumerate(lines, start=1):
-        line = rawline.rstrip("\r")
-        if lineno == 1:
-            line = line.lstrip("﻿")
-
-        if seen_ef:
-            if line.strip():
-                if strict:
-                    raise ExportParseError(
-                        f"line {lineno}: content after EF terminator", lineno
-                    )
-                diag.malformed_positions.append(lineno)
-                break
-            continue
-
-        if skipping:
-            stripped = line.rstrip()
-            if stripped == "ER":
-                skipping = False
-            elif stripped == "EF":
-                skipping = False
-                seen_ef = True
-            continue
-
-        if tags is None:
-            if not line.strip():
-                continue
-            stripped = line.rstrip()
-            if stripped == "EF":
-                seen_ef = True
-                continue
-            if stripped == "ER":
-                if strict:
-                    raise ExportParseError(
-                        f"line {lineno}: record terminator without an open record",
-                        lineno,
-                    )
-                diag.malformed_positions.append(lineno)
-                continue
-            match = _TAG_LINE.match(line)
-            if match:
-                tag = match.group(1)
-                if tag in _FILE_HEADER_TAGS:
-                    continue
-                tags = {tag: [match.group(2) or ""]}
-                current_tag = tag
-                continue
-            if strict:
-                raise ExportParseError(f"line {lineno}: expected a tag line", lineno)
-            diag.malformed_positions.append(lineno)
-            skipping = True
-            continue
-
-        # Inside a record.  Continuation lines take priority so values
-        # that happen to read "ER" cannot terminate the block.
-        if line.startswith("   "):
+    tags: dict[str, list[str]] | None = None  # the open record, if any
+    current_tag = ""
+    skipping = False  # resyncing to the next ER or EF after a malformed line
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
+        # Continuation lines take priority so values that happen to
+        # read "ER" cannot terminate the block.
+        if tags is not None and line.startswith("   "):
             tags[current_tag].append(line[3:])
             continue
         stripped = line.rstrip()
+        if not stripped:
+            continue
         if stripped == "ER":
-            records.append(_finalize_record(tags))
-            tags = None
-            current_tag = None
+            if tags is not None:
+                records.append(_finalize_record(tags))
+            elif not skipping:
+                defect(lineno, "record terminator without an open record")
+            tags, skipping = None, False
+        elif stripped == "EF":
+            if tags is not None:
+                defect(lineno, "record not terminated by ER before EF")
+            # Only blank lines may follow the file terminator.
+            for lineno, line in numbered:
+                if line.strip():
+                    defect(lineno, "content after EF terminator")
+                    break
+            return records
+        elif skipping:
             continue
-        if stripped == "EF":
-            if strict:
-                raise ExportParseError(
-                    f"line {lineno}: record not terminated by ER before EF", lineno
-                )
-            diag.malformed_positions.append(lineno)
-            tags = None
-            current_tag = None
-            seen_ef = True
-            continue
-        match = _TAG_LINE.match(line)
-        if match:
+        elif match := _TAG_LINE.match(line):
             tag = match.group(1)
+            if tags is None:
+                if tag in _FILE_HEADER_TAGS:
+                    continue
+                tags = {}
             tags.setdefault(tag, []).append(match.group(2) or "")
             current_tag = tag
-            continue
-        if not line.strip():
-            continue
-        if strict:
-            raise ExportParseError(f"line {lineno}: malformed line inside record", lineno)
-        diag.malformed_positions.append(lineno)
-        tags = None
-        current_tag = None
-        skipping = True
+        else:
+            defect(
+                lineno,
+                "expected a tag line" if tags is None else "malformed line inside record",
+            )
+            tags, skipping = None, True
 
     if tags is not None:
-        last = len(lines)
-        if strict:
-            raise ExportParseError(
-                f"line {last}: record not terminated by ER at end of input", last
-            )
-        diag.malformed_positions.append(last)
-
-    return records, diag
+        defect(len(lines), "record not terminated by ER at end of input")
+    return records
 
 
-def _parse_tab_delimited(
-    text: str, strict: bool
-) -> tuple[list[RawRecord], ParseDiagnostics]:
+def _parse_tab_delimited(lines: list[str], defect: _Defect) -> list[RawRecord]:
     records: list[RawRecord] = []
-    diag = ParseDiagnostics()
-    lines = text.split("\n")
-    header = [c.strip() for c in lines[0].lstrip("﻿").rstrip("\r").split("\t")]
+    header = [c.strip() for c in lines[0].split("\t")]
     columns = [(i, tag) for i, tag in enumerate(header) if _TAG_NAME.match(tag)]
 
-    for lineno, rawline in enumerate(lines[1:], start=2):
-        line = rawline.rstrip("\r")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split("\t")
         if len(cells) != len(header):
-            if strict:
-                raise ExportParseError(
-                    f"line {lineno}: expected {len(header)} columns, found {len(cells)}",
-                    lineno,
-                )
-            diag.malformed_positions.append(lineno)
+            defect(lineno, f"expected {len(header)} columns, found {len(cells)}")
             continue
         tags: dict[str, list[str]] = {}
         for idx, tag in columns:
@@ -292,7 +245,7 @@ def _parse_tab_delimited(
                 tags[tag] = [value]
         records.append(RawRecord(tags))
 
-    return records, diag
+    return records
 
 
 def _is_rpy(segment: str) -> bool:
@@ -406,14 +359,19 @@ def serialize_export(records: list[RawRecord]) -> str:
 
 
 def decode_export_bytes(data: bytes) -> str:
-    """Decode raw export bytes line by line: UTF-8 first, Latin-1 fallback.
+    """Decode raw export bytes.
 
-    Mixed-era exports occasionally carry single Latin-1 lines inside an
-    otherwise UTF-8 file; decoding per line keeps the rest intact.
+    A file that starts with a UTF-16 byte-order mark (the "Tab-delimited
+    (Win)" export is commonly UTF-16LE) is decoded as UTF-16 throughout;
+    a truncated final code unit becomes U+FFFD.  Any other file is
+    decoded line by line, UTF-8 first with a Latin-1 fallback: mixed-era
+    exports occasionally carry single Latin-1 lines inside an otherwise
+    UTF-8 file, and decoding per line keeps the rest intact.
     """
+    if data.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
+        return data.decode("utf-16", errors="replace")
     lines = []
     for bline in data.split(b"\n"):
-        bline = bline.rstrip(b"\r")
         try:
             lines.append(bline.decode("utf-8"))
         except UnicodeDecodeError:

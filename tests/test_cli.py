@@ -352,10 +352,13 @@ class TestFlagsAndErrors:
         assert "malformed" in captured.err
 
     def test_unrecognized_format_exits_two(self, tmp_path, capsys):
+        # Every export starts with a header line, so an empty or blank
+        # file is a failed export, not an empty corpus.
         path = tmp_path / "page.html"
-        path.write_text("<html><body>nope</body></html>\n", encoding="utf-8")
-        assert main(["stats", "--input", str(path)]) == 2
-        assert "unrecognized" in capsys.readouterr().err
+        for content in ("<html><body>nope</body></html>\n", "", "\n  \n\n"):
+            path.write_text(content, encoding="utf-8")
+            assert main(["stats", "--input", str(path)]) == 2
+            assert "unrecognized" in capsys.readouterr().err
 
     def test_shuffled_inputs_identical_artifacts(self, tmp_path):
         paths = []
@@ -393,11 +396,16 @@ class TestFlagsAndErrors:
         st.text(max_size=12),
     ),
     top=st.integers(-5, 50),
+    citing_year=st.integers(0, 3000),
 )
 def test_main_only_returns_exit_codes(
-    spike_export, tmp_path, command, min_deviation, year_range, top
+    tmp_path, command, min_deviation, year_range, top, citing_year
 ):
-    argv = [command, "--input", spike_export, "--out", str(tmp_path / "out")]
+    crs = lines_for_counts({1901: 3, 1902: 9, 1903: 3, 1904: 11, 1905: 3})
+    export = write_export(
+        tmp_path / "gen.txt", [citing_record("WOS:1", year=citing_year, crs=crs)]
+    )
+    argv = [command, "--input", export, "--out", str(tmp_path / "out")]
     argv += [f"--min-deviation={min_deviation}", f"--top={top}"]
     if year_range is not None:
         argv.append(f"--range={year_range}")

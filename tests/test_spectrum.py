@@ -71,9 +71,7 @@ class TestComputeSpectrum:
         assert spectrum.dropped_out_of_range == 0
 
     def test_pinned_range_zero_fills(self):
-        spectrum = compute_spectrum(
-            corpus_of_years([1905, 1905, 1950]), (1900, 1950), pin=True
-        )
+        spectrum = compute_spectrum(corpus_of_years([1905, 1905, 1950]), (1900, 1950))
         assert spectrum.year_range == (1900, 1950)
         assert len(spectrum.counts) == 51
         assert spectrum.count_at(1905) == 2
@@ -88,7 +86,7 @@ class TestComputeSpectrum:
             doc_type="",
             cited_refs=(CitedReference(raw="OLD SCROLL", year=905),),
         )
-        spectrum = compute_spectrum(Corpus((record,)), (1500, 2013))
+        spectrum = compute_spectrum(Corpus((record,)))
         assert spectrum.dropped_out_of_range == 1
         assert spectrum.is_empty
 
@@ -106,6 +104,11 @@ class TestComputeSpectrum:
         spectrum = compute_spectrum(corpus_of_years([1499, 1905]))
         assert spectrum.dropped_out_of_range == 1
         assert spectrum.count_at(1905) == 1
+
+    def test_citing_years_before_default_window_drop_every_dated_ref(self):
+        spectrum = compute_spectrum(corpus_of_years([1400, 1905], pub_year=1400))
+        assert spectrum.is_empty
+        assert spectrum.dropped_out_of_range == 2
 
     def test_yearless_refs_not_counted_or_dropped(self):
         refs = (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from rpys import (
     parse_export,
     serialize_export,
 )
-from rpys.wos import TAB_DELIMITED, TAGGED
+from rpys.wos import TAB_DELIMITED, TAGGED, decode_export_bytes
 
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
@@ -123,6 +125,85 @@ class TestTaggedParsing:
     def test_cr_reference_count_matches_sum(self):
         records, diag = parse_export(THREE_RECORD_EXPORT)
         assert diag.cr_lines_parsed == sum(len(r.get("CR")) for r in records)
+
+
+# One case per structural defect: layout, text, UTs of the records kept
+# in lenient mode, lenient malformed_positions, strict message.
+_DEFECT_CASES = {
+    "orphan_er": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nER\nPT J\nUT WOS:1\nER\nEF\n",
+        ["WOS:1"],
+        [3],
+        "line 3: record terminator without an open record",
+    ),
+    "junk_between_records_resyncs_at_er": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nUT WOS:2\nER\n"
+        "PT J\nUT WOS:3\nER\nEF\n",
+        ["WOS:1", "WOS:3"],
+        [6],
+        "line 6: expected a tag line",
+    ),
+    "junk_between_records_resyncs_at_ef": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nEF\nPT J\n",
+        ["WOS:1"],
+        [6, 9],
+        "line 6: expected a tag line",
+    ),
+    "junk_inside_record": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\n\tbad\nCR A B, 1905, X\nER\n"
+        "PT J\nUT WOS:2\nER\nEF\n",
+        ["WOS:2"],
+        [5],
+        "line 5: malformed line inside record",
+    ),
+    "ef_inside_record": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nPT J\nUT WOS:2\nEF\n",
+        ["WOS:1"],
+        [8],
+        "line 8: record not terminated by ER before EF",
+    ),
+    "content_after_ef": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \nPT J\nER\n",
+        ["WOS:1"],
+        [8],
+        "line 8: content after EF terminator",
+    ),
+    "end_of_input_inside_record": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nPT J\nUT WOS:2\n",
+        ["WOS:1"],
+        [8],
+        "line 8: record not terminated by ER at end of input",
+    ),
+    "tsv_column_count": (
+        TAB_DELIMITED,
+        "PT\tPY\tCR\tUT\nJ\t2010\t\tWOS:1\nJ\t2011\nJ\t2012\t\tWOS:3\n",
+        ["WOS:1", "WOS:3"],
+        [3],
+        "line 3: expected 4 columns, found 2",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, text, kept, positions, message",
+    list(_DEFECT_CASES.values()),
+    ids=list(_DEFECT_CASES),
+)
+def test_each_defect_reported_at_its_line(fmt, text, kept, positions, message):
+    records, diag = parse_export(text, fmt)
+    assert [r.first("UT") for r in records] == kept
+    assert diag.malformed_positions == positions
+    with pytest.raises(ExportParseError) as err:
+        parse_export(text, fmt, strict=True)
+    assert str(err.value) == message
+    assert err.value.line == positions[0]
 
 
 class TestTabDelimited:
@@ -265,8 +346,6 @@ class TestEncodingAndLoading:
         blocks = [citing_record("WOS:1", crs=["POINCARÉ H, 1905, CR HEBD ACAD SCI"])]
         data = tagged_export(blocks).encode("utf-8")
         broken = data.replace("POINCARÉ".encode("utf-8"), "POINCARÉ".encode("latin-1"))
-        from rpys.wos import decode_export_bytes
-
         text = decode_export_bytes(broken)
         records, _ = parse_export(text)
         assert "POINCARÉ H" in records[0].get("CR")[0]
@@ -279,8 +358,104 @@ class TestEncodingAndLoading:
         assert len(records) == 1
         assert diag.malformed_records == 0
 
+    def test_utf16_exports_match_their_utf8_text(self, tmp_path):
+        cr = "POINCARÉ H, 1905, CR HEBD ACAD SCI"
+        tagged = tagged_export([citing_record("WOS:1", crs=[cr])]).replace("\n", "\r\n")
+        tsv = f"PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t2010\t{cr}; KUHN TS, 1962, X\tWOS:1\n"
+        cases = [
+            (tagged, codecs.BOM_UTF16_LE, "utf-16-le", TAGGED),
+            (tsv, codecs.BOM_UTF16_BE, "utf-16-be", TAB_DELIMITED),
+        ]
+        for text, bom, encoding, fmt in cases:
+            utf16 = tmp_path / "utf16.txt"
+            utf16.write_bytes(bom + text.encode(encoding))
+            utf8 = tmp_path / "utf8.txt"
+            utf8.write_bytes(text.encode("utf-8"))
+            records, diag, detected = load_export(utf16)
+            assert (records, diag, detected) == load_export(utf8)
+            assert detected == fmt
+            assert records[0].get("CR")[0] == cr
+            assert diag.malformed_records == 0
+
+    def test_odd_length_utf16_does_not_raise(self, tmp_path):
+        text = tagged_export([citing_record("WOS:1")])
+        data = codecs.BOM_UTF16_LE + text.encode("utf-16-le") + b"E"
+        assert decode_export_bytes(data) == text + "\ufffd"
+        path = tmp_path / "export.txt"
+        path.write_bytes(data)
+        records, diag, _ = load_export(path)
+        assert len(records) == 1
+        assert diag.malformed_positions == [text.count("\n") + 1]
+
     def test_crlf_line_endings(self):
         text = tagged_export([citing_record("WOS:1")]).replace("\n", "\r\n")
         records, diag = parse_export(text)
         assert len(records) == 1
         assert diag.malformed_records == 0
+
+
+# Generated exports: tagged files are a header plus a soup of structural,
+# tag, continuation, blank and junk lines; tab-delimited files are a
+# header plus rows of random width.  Both carry every defect kind.
+_tagged_line_st = st.one_of(
+    st.sampled_from(
+        ["PT J", "UT WOS:1", "CR A B, 1905, X", "   C D, 1950, Y", "   ", "ER", "ER ", "EF"]
+        + ["", "\tjunk", "junk", "FN again"]
+    ),
+    st.builds(lambda tag, value: f"{tag} {value}", _tag_st, _value_st),
+)
+_tagged_text_st = st.lists(_tagged_line_st, max_size=14).map(
+    lambda lines: "FN WoS\nVR 1.0\n" + "\n".join(lines) + "\n"
+)
+_tsv_row_st = st.lists(_value_st.filter(lambda v: "\t" not in v), min_size=1, max_size=5)
+_tsv_text_st = st.lists(_tsv_row_st, max_size=6).map(
+    lambda rows: "PT\tPY\tCR\tUT\n" + "".join("\t".join(row) + "\n" for row in rows)
+)
+_export_st = st.one_of(
+    st.tuples(st.just(TAGGED), _tagged_text_st),
+    st.tuples(st.just(TAB_DELIMITED), _tsv_text_st),
+)
+
+
+_ENCODINGS = {
+    "utf-8": lambda text: text.encode("utf-8"),
+    "utf-8-sig": lambda text: text.encode("utf-8-sig"),
+    "utf-16-le": lambda text: codecs.BOM_UTF16_LE + text.encode("utf-16-le"),
+    "utf-16-be": lambda text: codecs.BOM_UTF16_BE + text.encode("utf-16-be"),
+}
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or its exception's type, message and line."""
+    try:
+        return fn(*args, **kwargs)
+    except ExportParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+class TestLineEndsAndEncodings:
+    @settings(max_examples=200)
+    @given(_export_st, st.booleans())
+    def test_crlf_and_bom_parse_like_lf(self, export, strict):
+        fmt, text = export
+        expected = _outcome(parse_export, text, fmt, strict=strict)
+        for variant in (text.replace("\n", "\r\n"), "\ufeff" + text):
+            assert _outcome(parse_export, variant, fmt, strict=strict) == expected
+
+    @settings(max_examples=100)
+    @given(
+        _export_st,
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from(list(_ENCODINGS)),
+        st.booleans(),
+    )
+    def test_load_export_matches_parse_of_text(
+        self, tmp_path_factory, export, newline, encoding, strict
+    ):
+        fmt, text = export
+        text = text.replace("\n", newline)
+        path = tmp_path_factory.mktemp("enc") / "export.txt"
+        path.write_bytes(_ENCODINGS[encoding](text))
+        assert _outcome(load_export, path, strict=strict) == _outcome(
+            lambda: (*parse_export(text, fmt, strict=strict), fmt)
+        )
