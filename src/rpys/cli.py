@@ -207,13 +207,13 @@ def _load_corpus(config: RunConfig) -> Corpus:
         corpus, corpus_diag = build_corpus(records, journal_filter, strict=config.strict)
     except CorpusError as exc:
         raise CliError(str(exc)) from exc
-    issues = []
-    if malformed:
-        issues.append(f"skipped {malformed} malformed record block(s)")
-    if corpus_diag.excluded_missing_fields:
-        issues.append(
-            f"excluded {corpus_diag.excluded_missing_fields} record(s) lacking PY or SO"
-        )
+    dropped = (
+        (malformed, "skipped {} malformed record block(s)"),
+        (corpus_diag.duplicates_skipped, "skipped {} duplicate record(s)"),
+        (corpus_diag.excluded_missing_fields, "excluded {} record(s) lacking PY or SO"),
+        (corpus_diag.excluded_by_filter, "excluded {} record(s) by the journal filter"),
+    )
+    issues = [message.format(count) for count, message in dropped if count]
     if issues:
         print("rpys: " + "; ".join(issues), file=sys.stderr)
     return corpus
@@ -350,6 +350,15 @@ def cmd_peaks(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _works_payload(works) -> list[dict]:
+    return [{"key": w.key.display(), "count": w.count, "share": w.share} for w in works]
+
+
+def _print_rows(rows: list[dict], label: str) -> None:
+    for row in rows:
+        print(f"  {row['count']:>5}  {row['share']:>5.1f}%  {row[label]}")
+
+
 def _profile_payload(profile) -> dict:
     return {
         "year": profile.year,
@@ -358,10 +367,7 @@ def _profile_payload(profile) -> dict:
             {"name": a.name, "count": a.count, "share": a.share}
             for a in profile.author_rows
         ],
-        "works": [
-            {"key": w.key.display(), "count": w.count, "share": w.share}
-            for w in profile.work_rows
-        ],
+        "works": _works_payload(profile.work_rows),
         "unattributed": profile.unattributed,
     }
 
@@ -380,36 +386,27 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
             "author": breakdown.author,
             "year": breakdown.year,
             "total_refs": breakdown.total_refs,
-            "works": [
-                {"key": w.key.display(), "count": w.count, "share": w.share}
-                for w in breakdown.rows
-            ],
+            "works": _works_payload(breakdown.rows),
         }
         path = out / f"breakdown_{year}_{_slug(name)}.json"
         _write_json(path, payload)
         print(f"{name}, {year}: {breakdown.total_refs} cited references")
-        for w in breakdown.rows:
-            print(f"  {w.count:>5}  {w.share:>5.1f}%  {w.key.display()}")
-        print(f"wrote {path}")
-        return EXIT_OK if breakdown.total_refs else EXIT_EMPTY
-
-    profile = drill_year(corpus, year, config.top_k)
-    path = out / f"profile_{year}.json"
-    _write_json(path, _profile_payload(profile))
-    print(
-        f"year {year}: {profile.total_refs} cited references "
-        f"({profile.unattributed} unattributed)"
-    )
-    if profile.author_rows:
-        print("top authors:")
-        for a in profile.author_rows:
-            print(f"  {a.count:>5}  {a.share:>5.1f}%  {a.name}")
-    if profile.work_rows:
-        print("top works:")
-        for w in profile.work_rows:
-            print(f"  {w.count:>5}  {w.share:>5.1f}%  {w.key.display()}")
+        _print_rows(payload["works"], "key")
+    else:
+        profile = drill_year(corpus, year, config.top_k)
+        payload = _profile_payload(profile)
+        path = out / f"profile_{year}.json"
+        _write_json(path, payload)
+        print(
+            f"year {year}: {profile.total_refs} cited references "
+            f"({profile.unattributed} unattributed)"
+        )
+        for section, label in (("authors", "name"), ("works", "key")):
+            if payload[section]:
+                print(f"top {section}:")
+                _print_rows(payload[section], label)
     print(f"wrote {path}")
-    return EXIT_OK if profile.total_refs else EXIT_EMPTY
+    return EXIT_OK if payload["total_refs"] else EXIT_EMPTY
 
 
 def cmd_plot(config: RunConfig) -> int:

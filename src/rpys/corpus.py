@@ -11,7 +11,10 @@ first author only, because that is all the WoS CR string carries.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .textnorm import UNKNOWN_AUTHOR, key_token, normalize_author
 from .wos import CitedReference, RawRecord, parse_cited_reference
@@ -106,8 +109,19 @@ class Corpus:
     records: tuple[Record, ...]
 
     def iter_refs(self):
-        for record in self.records:
-            yield from record.cited_refs
+        return chain.from_iterable(record.cited_refs for record in self.records)
+
+    @cached_property
+    def by_year(self) -> dict[int | None, list[CitedReference]]:
+        """Each referenced year's cited references; ``None`` files the year-less.
+
+        The one grouping of references by year: the spectrum counts these
+        lists and every drill reads one.  Built by one pass on first use.
+        """
+        index: defaultdict[int | None, list[CitedReference]] = defaultdict(list)
+        for ref in self.iter_refs():
+            index[ref.year].append(ref)
+        return dict(index)
 
     @property
     def total_cited_refs(self) -> int:
@@ -158,7 +172,8 @@ def _pub_year(record: RawRecord) -> int | None:
     if raw is None:
         return None
     raw = raw.strip()
-    if not (raw.isascii() and raw.isdigit()):
+    # Past four digits a PY is no year (and past 4,300, int() refuses it).
+    if not (len(raw) <= 4 and raw.isascii() and raw.isdigit()):
         return None
     return int(raw)
 

@@ -9,6 +9,7 @@ count rather than silently shrinking the denominator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Corpus, RefKey, reference_key
@@ -75,10 +76,18 @@ def round_share(count: int, total: int) -> float:
     return ((2000 * count + total) // (2 * total)) / 10.0
 
 
-def _year_refs(corpus: Corpus, year: int):
-    for ref in corpus.iter_refs():
-        if ref.year == year:
-            yield ref
+def _ranked(counts: Counter, top_k: int | None = None) -> list:
+    """(item, count) pairs by count descending then item ascending."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+
+def _work_rows(refs, top_k: int | None = None) -> tuple[WorkShare, ...]:
+    """Most-cited works among ``refs``, shares of all of ``refs``."""
+    works = Counter(map(reference_key, refs))
+    return tuple(
+        WorkShare(key, count, round_share(count, len(refs)))
+        for key, count in _ranked(works, top_k)
+    )
 
 
 def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
@@ -90,31 +99,18 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    author_counts: dict[str, int] = {}
-    work_counts: dict[RefKey, int] = {}
-    total = 0
-    unattributed = 0
-    for ref in _year_refs(corpus, year):
-        total += 1
-        if ref.first_author is None:
-            unattributed += 1
-        else:
-            author_counts[ref.first_author] = author_counts.get(ref.first_author, 0) + 1
-        key = reference_key(ref)
-        work_counts[key] = work_counts.get(key, 0) + 1
-
-    authors = sorted(author_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    works = sorted(work_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    refs = corpus.by_year.get(year, ())
+    total = len(refs)
+    authors = Counter(ref.first_author for ref in refs if ref.first_author is not None)
     return YearProfile(
         year=year,
         total_refs=total,
         author_rows=tuple(
-            AuthorShare(name, count, round_share(count, total)) for name, count in authors
+            AuthorShare(name, count, round_share(count, total))
+            for name, count in _ranked(authors, top_k)
         ),
-        work_rows=tuple(
-            WorkShare(key, count, round_share(count, total)) for key, count in works
-        ),
-        unattributed=unattributed,
+        work_rows=_work_rows(refs, top_k),
+        unattributed=total - authors.total(),
     )
 
 
@@ -127,23 +123,9 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    work_counts: dict[RefKey, int] = {}
-    total = 0
-    for ref in _year_refs(corpus, year):
-        if ref.first_author != author:
-            continue
-        total += 1
-        key = reference_key(ref)
-        work_counts[key] = work_counts.get(key, 0) + 1
-
-    works = sorted(work_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    refs = [ref for ref in corpus.by_year.get(year, ()) if ref.first_author == author]
     return AuthorWorkBreakdown(
-        author=author,
-        year=year,
-        total_refs=total,
-        rows=tuple(
-            WorkShare(key, count, round_share(count, total)) for key, count in works
-        ),
+        author=author, year=year, total_refs=len(refs), rows=_work_rows(refs)
     )
 
 

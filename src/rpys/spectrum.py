@@ -112,18 +112,14 @@ def compute_spectrum(
         newest = corpus.max_pub_year
         lo, hi = DEFAULT_MIN_RPY, newest if newest is not None else MAX_RPY
 
-    counter: dict[int, int] = {}
-    dropped = 0
-    without_year = 0
-    for ref in corpus.iter_refs():
-        year = ref.year
-        if year is None:
-            without_year += 1
-            continue
-        if lo <= year <= hi:
-            counter[year] = counter.get(year, 0) + 1
-        else:
-            dropped += 1
+    by_year = corpus.by_year
+    without_year = len(by_year.get(None, ()))
+    counter = {
+        year: len(refs)
+        for year, refs in by_year.items()
+        if year is not None and lo <= year <= hi
+    }
+    dropped = corpus.total_cited_refs - without_year - sum(counter.values())
 
     if valid_range is not None:
         first, last = lo, hi

@@ -286,6 +286,10 @@ def test_c7_conservation_over_random_corpora():
         assert spectrum.without_year == sum(
             1 for ref in corpus.iter_refs() if ref.year is None
         )
+        # The year index partitions the references: each under its own year.
+        for year, refs in corpus.by_year.items():
+            assert all(ref.year == year for ref in refs)
+        assert sum(map(len, corpus.by_year.values())) == corpus.total_cited_refs
 
         nonzero_years = [y for y in spectrum.years() if spectrum.count_at(y)]
         for year in nonzero_years:

@@ -70,6 +70,27 @@ class TestStats:
         assert "Total" in captured.out
         assert "lacking PY or SO" in captured.err
 
+    @pytest.mark.parametrize("layout", ["tagged", "tsv"])
+    def test_overlong_pub_year_is_invalid(self, tmp_path, capsys, layout):
+        # int() refuses more than 4,300 digits; such a PY is no year.
+        long_year = "2" * 4301
+        if layout == "tagged":
+            block = citing_record("WOS:1", crs=["A B, 1950, X"])
+            block["PY"] = [long_year]
+            path = write_export(tmp_path / "long.txt", [block])
+        else:
+            path = str(tmp_path / "long.txt")
+            (tmp_path / "long.txt").write_text(
+                f"PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t{long_year}\tA B, 1950, X\tWOS:1\n",
+                encoding="utf-8",
+            )
+        for command in ("stats", "spectrum"):
+            argv = [command, "--input", path, "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            assert "excluded 1 record(s) lacking PY or SO" in capsys.readouterr().err
+            assert main([*argv, "--strict"]) == 2
+            assert "invalid PY" in capsys.readouterr().err
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.txt"
         assert main(["stats", "--input", str(missing)]) == 2
@@ -282,9 +303,12 @@ class TestFlagsAndErrors:
             ],
         )
         assert main(["stats", "--input", path, "--journals", "Erkenntnis"]) == 0
-        out = capsys.readouterr().out
-        assert "ERKENNTNIS" in out
-        assert "MIND" not in out
+        captured = capsys.readouterr()
+        assert "ERKENNTNIS" in captured.out
+        assert "MIND" not in captured.out
+        assert captured.err == "rpys: excluded 1 record(s) by the journal filter\n"
+        assert main(["stats", "--input", path]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_tsv_format_flag(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -307,14 +331,17 @@ class TestFlagsAndErrors:
         )
         assert main(["stats", "--input", str(path)]) == 0
 
-    def test_glob_inputs(self, tmp_path):
+    def test_glob_inputs(self, tmp_path, capsys):
         write_export(tmp_path / "a1.txt", [citing_record("WOS:1", crs=["A B, 1950, X"])])
         write_export(tmp_path / "a2.txt", [citing_record("WOS:2", crs=["C D, 1951, Y"])])
+        # a3 repeats a1's record: merged batches overlap.
+        write_export(tmp_path / "a3.txt", [citing_record("WOS:1", crs=["A B, 1950, X"])])
         out = tmp_path / "out"
         pattern = str(tmp_path / "a*.txt")
         assert main(["spectrum", "--input", pattern, "--out", str(out)]) == 0
         lines = (out / "rpys.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1:] == ["1950,1", "1951,1"]
+        assert capsys.readouterr().err == "rpys: skipped 1 duplicate record(s)\n"
 
     def test_bad_range_exits_two(self, spike_export, capsys):
         assert main(["spectrum", "--input", spike_export, "--range", "1905"]) == 2
@@ -409,4 +436,53 @@ def test_main_only_returns_exit_codes(
     argv += [f"--min-deviation={min_deviation}", f"--top={top}"]
     if year_range is not None:
         argv.append(f"--range={year_range}")
+    assert main(argv) in (0, 1, 2)
+
+
+# Digit strings past int()'s 4,300-digit limit, beside ordinary years.
+_pub_years = st.one_of(
+    st.integers(0, 9999).map(str),
+    st.builds(
+        lambda lead, n: lead + "0" * n, st.sampled_from("123456789"), st.integers(4300, 5999)
+    ),
+)
+_cr_texts = st.one_of(
+    st.lists(
+        st.sampled_from(["EINSTEIN A", "1905", "0999", "ANN PHYS", "V17", "P891", "DOI x", ""]),
+        max_size=6,
+    ).map(", ".join),
+    st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=30),
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["stats", "spectrum", "peaks", "drill"]),
+    layout=st.sampled_from(["tagged", "tsv"]),
+    pub_year=_pub_years,
+    crs=st.lists(_cr_texts, max_size=6),
+    strict=st.booleans(),
+)
+def test_generated_exports_only_return_exit_codes(
+    tmp_path, command, layout, pub_year, crs, strict
+):
+    path = tmp_path / "gen.txt"
+    if layout == "tagged":
+        block = citing_record("WOS:1", crs=crs)
+        block["PY"] = [pub_year]
+        path.write_text(tagged_export([block]), encoding="utf-8")
+    else:
+        path.write_text(
+            f"PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t{pub_year}\t{'; '.join(crs)}\tWOS:1\n",
+            encoding="utf-8",
+        )
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    if command == "drill":
+        argv += ["--year", "1905"]
+    if strict:
+        argv.append("--strict")
     assert main(argv) in (0, 1, 2)

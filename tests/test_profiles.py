@@ -202,3 +202,23 @@ class TestShareConsistency:
             assert row.share == round_share(row.count, profile.total_refs)
         for row in profile.work_rows:
             assert row.share == round_share(row.count, profile.total_refs)
+
+
+def test_one_corpus_walked_once(monkeypatch):
+    # Spectrum and every drill read the corpus's one year index.
+    corpus = corpus_of_lines(["A A, 1905, S"] * 5 + ["B B, 1962, S"] * 9)
+    calls = []
+    walk = Corpus.iter_refs
+
+    def counted(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(Corpus, "iter_refs", counted)
+    spectrum = compute_spectrum(corpus)
+    for year in (1905, 1962, 1777):
+        drill_year(corpus, year)
+    author_breakdown(corpus, "A A", 1905)
+    peaks = detect_peaks(median_deviation(spectrum))
+    assert len(profile_all_peaks(corpus, peaks)) == 2
+    assert len(calls) == 1
