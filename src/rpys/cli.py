@@ -178,9 +178,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
     # Sorted, deduplicated expansion keeps the pipeline independent of
-    # shell glob order.
+    # shell glob order.  A pattern naming an existing file is that file,
+    # even when its name holds glob metacharacters ("savedrecs[1].txt").
     found: set[str] = set()
     for pattern in patterns:
+        if Path(pattern).is_file():
+            found.add(pattern)
+            continue
         matches = glob.glob(pattern, recursive=True)
         if not matches:
             raise CliError(f"input not found: {pattern}")

@@ -178,6 +178,14 @@ def _pub_year(record: RawRecord) -> int | None:
     return int(raw)
 
 
+class _ParsedRefs(dict):
+    """Raw CR string -> its CitedReference, parsed on first lookup only."""
+
+    def __missing__(self, line: str) -> CitedReference:
+        ref = self[line] = parse_cited_reference(line)
+        return ref
+
+
 def build_corpus(
     records: list[RawRecord],
     journal_filter: set[str] | None = None,
@@ -189,12 +197,15 @@ def build_corpus(
     batches in any order yields the same record set.  The journal
     filter matches on the normalized source title.  Records lacking a
     publication year or source title are errors in strict mode and are
-    excluded (and counted) otherwise.
+    excluded (and counted) otherwise.  Identical CR strings are parsed
+    once per call and share one frozen :class:`CitedReference`; the
+    cache lives only for this call.
     """
     diag = CorpusDiagnostics(records_in=len(records))
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen: set[str] = set()
     kept: list[Record] = []
+    parsed = _ParsedRefs()
 
     for raw in records:
         uid = raw.first("UT") or _surrogate_uid(raw)
@@ -215,7 +226,7 @@ def build_corpus(
             diag.excluded_by_filter += 1
             continue
 
-        refs = tuple(parse_cited_reference(line) for line in raw.get("CR"))
+        refs = tuple(map(parsed.__getitem__, raw.get("CR")))
         kept.append(
             Record(
                 uid=uid,

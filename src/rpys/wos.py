@@ -370,6 +370,10 @@ def decode_export_bytes(data: bytes) -> str:
     """
     if data.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
         return data.decode("utf-16", errors="replace")
+    try:
+        return data.decode("utf-8")  # b"\n" never sits inside a UTF-8 sequence
+    except UnicodeDecodeError:
+        pass
     lines = []
     for bline in data.split(b"\n"):
         try:

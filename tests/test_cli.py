@@ -343,6 +343,21 @@ class TestFlagsAndErrors:
         assert lines[1:] == ["1950,1", "1951,1"]
         assert capsys.readouterr().err == "rpys: skipped 1 duplicate record(s)\n"
 
+    def test_literal_input_with_glob_metacharacters(self, tmp_path, capsys):
+        # An existing file is taken literally, not globbed, even where its
+        # name read as a pattern would match another file.
+        literal = write_export(
+            tmp_path / "savedrecs[1].txt", [citing_record("WOS:1", crs=["A B, 1950, X"])]
+        )
+        write_export(tmp_path / "savedrecs1.txt", [citing_record("WOS:2", crs=["C D, 1951, Y"])])
+        out = tmp_path / "out"
+        assert main(["spectrum", "--input", literal, "--out", str(out)]) == 0
+        lines = (out / "rpys.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == ["1950,1"]
+        assert capsys.readouterr().err == ""
+        assert main(["stats", "--input", str(tmp_path / "savedrecs[2].txt")]) == 2
+        assert "input not found" in capsys.readouterr().err
+
     def test_bad_range_exits_two(self, spike_export, capsys):
         assert main(["spectrum", "--input", spike_export, "--range", "1905"]) == 2
         assert main(["spectrum", "--input", spike_export, "--range", "1950:1900"]) == 2

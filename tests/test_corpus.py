@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 import rpys.corpus
 import rpys.wos
 from rpys import (
+    Corpus,
+    CorpusDiagnostics,
     CorpusError,
+    RawRecord,
+    Record,
     UNKNOWN_AUTHOR,
     build_corpus,
     corpus_stats,
@@ -19,6 +23,8 @@ from rpys import (
     parse_export,
     reference_key,
 )
+
+from rpys.textnorm import key_token
 
 from conftest import citing_record, tagged_export
 
@@ -78,6 +84,95 @@ class TestReferenceKey:
 def _parse(blocks):
     records, _ = parse_export(tagged_export(blocks))
     return records
+
+
+# PY cells and the year each one stands for (None: not a valid PY).
+_PY_YEARS = {"2010": 2010, " 1999": 1999, "20100": None, "": None, "19x9": None}
+
+
+@st.composite
+def _reused_cr_records_st(draw):
+    """Records that repeat CR strings within and across records.
+
+    UIDs repeat, PY is sometimes missing or invalid, and journals vary
+    in case, so the dedup, the missing-field check and the journal
+    filter all skip records.
+    """
+    pool = draw(
+        st.lists(
+            st.one_of(
+                # Near-twins differ only in case or trailing space: the
+                # memo keys on the verbatim string.
+                st.sampled_from(
+                    [
+                        "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891",
+                        "KUHN TS, 1962, STRUCTURE SCI REVOLU",
+                        "KUHN TS, 1962, STRUCTURE SCI REVOLU ",
+                        "Kuhn TS, 1962, Structure Sci Revolu",
+                        "HUME D, TREATISE",
+                        "[Anonymous], 1950, X",
+                    ]
+                ),
+                # Export parsers never keep a blank CR line.
+                st.text(max_size=20).filter(str.strip),
+            ),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        tags = {"UT": [draw(st.sampled_from(["WOS:1", "WOS:2", "WOS:3", "WOS:4"]))]}
+        journal = draw(st.sampled_from(["ERKENNTNIS", "Erkenntnis", "MIND", None]))
+        if journal is not None:
+            tags["SO"] = [journal]
+        py = draw(st.sampled_from([*_PY_YEARS, None]))
+        if py is not None:
+            tags["PY"] = [py]
+        crs = draw(st.lists(st.sampled_from(pool), max_size=6))
+        if crs:
+            tags["CR"] = crs
+        records.append(RawRecord(tags))
+    return records
+
+
+def _build_parsing_every_line(records, journal_filter):
+    """Reference build_corpus for UT-bearing records: one parse per CR line."""
+    diag = CorpusDiagnostics(records_in=len(records))
+    wanted = {key_token(j) for j in journal_filter} if journal_filter else None
+    seen, kept = set(), []
+    for raw in records:
+        uid = raw.first("UT")
+        if uid in seen:
+            diag.duplicates_skipped += 1
+            continue
+        seen.add(uid)
+        journal = raw.joined("SO")
+        pub_year = _PY_YEARS.get(raw.first("PY"))
+        if journal is None or pub_year is None:
+            diag.excluded_missing_fields += 1
+        elif wanted is not None and key_token(journal) not in wanted:
+            diag.excluded_by_filter += 1
+        else:
+            refs = tuple(parse_cited_reference(line) for line in raw.get("CR"))
+            kept.append(Record(uid, journal, pub_year, "", refs))
+    diag.records_kept = len(kept)
+    return Corpus(tuple(kept)), diag
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every string handed to parse_cited_reference during the test, in order."""
+    calls = []
+
+    def counting(line):
+        calls.append(line)
+        return parse_cited_reference(line)
+
+    monkeypatch.setattr(rpys.wos, "parse_cited_reference", counting)
+    monkeypatch.setattr(rpys.corpus, "parse_cited_reference", counting)
+    return calls
 
 
 class TestBuildCorpus:
@@ -157,29 +252,55 @@ class TestBuildCorpus:
         backward, _ = build_corpus(_parse(blocks[::-1]))
         assert forward.total_cited_refs == backward.total_cited_refs == 3
 
-    def test_each_cr_line_parsed_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(line):
-            calls.append(line)
-            return parse_cited_reference(line)
-
-        monkeypatch.setattr(rpys.wos, "parse_cited_reference", counting)
-        monkeypatch.setattr(rpys.corpus, "parse_cited_reference", counting)
+    def test_each_distinct_cr_string_parsed_once(self, tmp_path, parse_calls):
         crs = ["A B, 1950, X", "HUME D, TREATISE", "A B, 1950, X"]
+        skipped = {  # uid, journal, PY: a duplicate, a filtered and a PY-less record
+            "DUP C, 1960, Y": ("WOS:1", "ERKENNTNIS", "2010"),
+            "FILT D, 1970, Z": ("WOS:3", "MIND", "2010"),
+            "NOPY E, 1980, W": ("WOS:4", "ERKENNTNIS", ""),
+        }
+        blocks = [citing_record("WOS:1", crs=crs)]
+        rows = ["J\tERKENNTNIS\t2010\t" + "; ".join(crs) + "\tWOS:1"]
+        for cr, (uid, journal, year) in skipped.items():
+            block = citing_record(uid, journal=journal, crs=[cr])
+            if not year:
+                del block["PY"]
+            blocks.append(block)
+            rows.append(f"J\t{journal}\t{year}\t{cr}\t{uid}")
         tagged = tmp_path / "tagged.txt"
-        tagged.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+        tagged.write_text(tagged_export(blocks), encoding="utf-8")
         tsv = tmp_path / "table.txt"
-        tsv.write_text(
-            "PT\tSO\tPY\tCR\tUT\nJ\tMIND\t2010\t" + "; ".join(crs) + "\tWOS:2\n",
-            encoding="utf-8",
-        )
+        tsv.write_text("PT\tSO\tPY\tCR\tUT\n" + "\n".join(rows) + "\n", encoding="utf-8")
         for path in (tagged, tsv):
-            calls.clear()
+            parse_calls.clear()
             records, diag, _ = load_export(path)
-            build_corpus(records)
-            assert diag.cr_lines_parsed == len(crs)
-            assert calls == crs
+            corpus, corpus_diag = build_corpus(records, journal_filter={"ERKENNTNIS"})
+            assert diag.cr_lines_parsed == len(crs) + len(skipped)
+            assert (corpus_diag.duplicates_skipped, corpus_diag.excluded_by_filter) == (1, 1)
+            assert corpus_diag.excluded_missing_fields == 1
+            assert parse_calls == ["A B, 1950, X", "HUME D, TREATISE"]
+            [record] = corpus.records
+            assert record.cited_refs[0] is record.cited_refs[2]
+
+    def test_parses_are_not_kept_across_calls(self, parse_calls):
+        crs = ["A B, 1950, X", "A B, 1950, X", "HUME D, TREATISE"]
+        records = _parse([citing_record("WOS:1", crs=crs), citing_record("WOS:2", crs=crs)])
+        first, _ = build_corpus(records)
+        second, _ = build_corpus(records)
+        assert parse_calls == ["A B, 1950, X", "HUME D, TREATISE"] * 2
+        assert first == second
+        assert first.records[0].cited_refs[0] is not second.records[0].cited_refs[0]
+
+    @settings(max_examples=200)
+    @given(_reused_cr_records_st(), st.sampled_from([None, {"erkenntnis"}, {"MIND", "NOUS"}]))
+    def test_memoized_build_matches_parsing_every_line(self, records, journal_filter):
+        corpus, diag = build_corpus(records, journal_filter)
+        reference, reference_diag = _build_parsing_every_line(records, journal_filter)
+        assert corpus == reference
+        assert corpus.by_year == reference.by_year
+        assert diag == reference_diag
+        refs = list(corpus.iter_refs())
+        assert len({id(ref) for ref in refs}) == len({ref.raw for ref in refs})
 
 
 class TestCorpusStats:

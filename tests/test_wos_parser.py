@@ -341,6 +341,29 @@ class TestCitedReferenceGrammar:
             assert 1000 <= ref.year <= 2100
 
 
+# One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
+_byte_line_st = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12)
+    .map(lambda s: s.encode("utf-8")),
+    st.text(st.characters(max_codepoint=255, blacklist_characters="\n"), max_size=12)
+    .map(lambda s: s.encode("latin-1")),
+    st.binary(max_size=12).map(lambda b: b.replace(b"\n", b"")),
+)
+
+
+def _decode_per_line(data: bytes) -> str:
+    """Reference decoder: UTF-16 by BOM, else UTF-8 per line, Latin-1 fallback."""
+    if data.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
+        return data.decode("utf-16", errors="replace")
+    lines = []
+    for bline in data.split(b"\n"):
+        try:
+            lines.append(bline.decode("utf-8"))
+        except UnicodeDecodeError:
+            lines.append(bline.decode("latin-1"))
+    return "\n".join(lines)
+
+
 class TestEncodingAndLoading:
     def test_latin1_line_inside_utf8_file(self):
         blocks = [citing_record("WOS:1", crs=["POINCARÉ H, 1905, CR HEBD ACAD SCI"])]
@@ -386,6 +409,16 @@ class TestEncodingAndLoading:
         records, diag, _ = load_export(path)
         assert len(records) == 1
         assert diag.malformed_positions == [text.count("\n") + 1]
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(_byte_line_st, max_size=8),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.sampled_from([b"", codecs.BOM_UTF8]),
+    )
+    def test_decode_matches_per_line_reference(self, lines, newline, bom):
+        data = bom + newline.join(lines)
+        assert decode_export_bytes(data) == _decode_per_line(data)
 
     def test_crlf_line_endings(self):
         text = tagged_export([citing_record("WOS:1")]).replace("\n", "\r\n")
