@@ -32,7 +32,7 @@ from .spectrum import (
     median_deviation,
 )
 from .svgplot import render_spectrogram
-from .textnorm import normalize_author
+from .textnorm import author_token, normalize_author
 from .wos import (
     MAX_RPY,
     MIN_RPY,
@@ -180,6 +180,8 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     # Sorted, deduplicated expansion keeps the pipeline independent of
     # shell glob order.  A pattern naming an existing file is that file,
     # even when its name holds glob metacharacters ("savedrecs[1].txt").
+    # Files are deduplicated by resolved path, so "x.txt" and "./x.txt"
+    # are read once, under the first spelling in sorted order.
     found: set[str] = set()
     for pattern in patterns:
         if Path(pattern).is_file():
@@ -191,7 +193,10 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
         found.update(m for m in matches if Path(m).is_file())
     if not found:
         raise CliError(f"no files matched inputs: {', '.join(patterns)}")
-    return [Path(p) for p in sorted(found)]
+    files: dict[Path, Path] = {}
+    for name in sorted(found):
+        files.setdefault(Path(name).resolve(), Path(name))
+    return list(files.values())
 
 
 def _load_corpus(config: RunConfig) -> Corpus:
@@ -377,6 +382,8 @@ def _profile_payload(profile) -> dict:
 
 
 def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
+    if author is not None and not author_token(author):
+        raise CliError(f"--author {author!r} has no name after normalization")
     corpus = _load_corpus(config)
     out = _out_dir(config)
 

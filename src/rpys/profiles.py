@@ -9,6 +9,7 @@ count rather than silently shrinking the denominator.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,16 +77,37 @@ def round_share(count: int, total: int) -> float:
     return ((2000 * count + total) // (2 * total)) / 10.0
 
 
+def _by_count_then_item(pair: tuple) -> tuple:
+    item, count = pair
+    return -count, item
+
+
 def _ranked(counts: Counter, top_k: int | None = None) -> list:
     """(item, count) pairs by count descending then item ascending."""
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    if top_k is None:
+        return sorted(counts.items(), key=_by_count_then_item)
+    # Items are distinct, so this equals sorted(...)[:top_k].
+    return heapq.nsmallest(top_k, counts.items(), key=_by_count_then_item)
 
 
-def _work_rows(refs, top_k: int | None = None) -> tuple[WorkShare, ...]:
-    """Most-cited works among ``refs``, shares of all of ``refs``."""
-    works = Counter(map(reference_key, refs))
+def _year_tally(corpus: Corpus, year: int) -> Counter:
+    """References to ``year`` counted per distinct object.
+
+    Records citing one CR string share one object, so each distinct
+    reference is keyed once per query; equal but distinct objects (a
+    hand-built corpus) hash equal and still land in one entry.
+    """
+    return Counter(corpus.by_year.get(year, ()))
+
+
+def _work_rows(tally: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:
+    """Most-cited works in a per-reference ``tally``, shares of all of it."""
+    total = tally.total()
+    works: Counter = Counter()
+    for ref, n in tally.items():
+        works[reference_key(ref)] += n
     return tuple(
-        WorkShare(key, count, round_share(count, len(refs)))
+        WorkShare(key, count, round_share(count, total))
         for key, count in _ranked(works, top_k)
     )
 
@@ -99,9 +121,12 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    refs = corpus.by_year.get(year, ())
-    total = len(refs)
-    authors = Counter(ref.first_author for ref in refs if ref.first_author is not None)
+    tally = _year_tally(corpus, year)
+    total = tally.total()
+    authors: Counter = Counter()
+    for ref, n in tally.items():
+        if ref.first_author is not None:
+            authors[ref.first_author] += n
     return YearProfile(
         year=year,
         total_refs=total,
@@ -109,7 +134,7 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
             AuthorShare(name, count, round_share(count, total))
             for name, count in _ranked(authors, top_k)
         ),
-        work_rows=_work_rows(refs, top_k),
+        work_rows=_work_rows(tally, top_k),
         unattributed=total - authors.total(),
     )
 
@@ -123,9 +148,11 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    refs = [ref for ref in corpus.by_year.get(year, ()) if ref.first_author == author]
+    tally = Counter(
+        {ref: n for ref, n in _year_tally(corpus, year).items() if ref.first_author == author}
+    )
     return AuthorWorkBreakdown(
-        author=author, year=year, total_refs=len(refs), rows=_work_rows(refs)
+        author=author, year=year, total_refs=tally.total(), rows=_work_rows(tally)
     )
 
 

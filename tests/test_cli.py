@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -242,6 +243,18 @@ class TestDrillCommand:
         assert payload["works"][0]["count"] == 13
         assert payload["works"][0]["share"] == 54.2
 
+    def test_blank_author_is_named(self, tmp_path, drill_export_text, capsys):
+        path = tmp_path / "drill.txt"
+        path.write_text(drill_export_text, encoding="utf-8")
+        base = ["drill", "--input", str(path), "--year", "1905", "--out", str(tmp_path)]
+        for author in ("  ", ".", ",. ,"):
+            assert main([*base, f"--author={author}"]) == 2
+            err = capsys.readouterr().err
+            assert f"--author {author!r} has no name after normalization" in err
+        assert main([*base, "--author", "UNKNOWN"]) == 2
+        err = capsys.readouterr().err
+        assert err == "rpys: cannot break down the unattributed bucket by work\n"
+
     def test_empty_year_exits_one(self, tmp_path, drill_export_text):
         path = tmp_path / "drill.txt"
         path.write_text(drill_export_text, encoding="utf-8")
@@ -357,6 +370,30 @@ class TestFlagsAndErrors:
         assert capsys.readouterr().err == ""
         assert main(["stats", "--input", str(tmp_path / "savedrecs[2].txt")]) == 2
         assert "input not found" in capsys.readouterr().err
+
+    def test_inputs_deduplicated_by_file(self, tmp_path, capsys, monkeypatch):
+        # Two spellings of one file are one input, not a duplicate batch.
+        monkeypatch.chdir(tmp_path)
+        write_export(tmp_path / "x.txt", [citing_record("WOS:1", crs=["A B, 1950, X"])])
+        write_export(tmp_path / "y.txt", [citing_record("WOS:2", crs=["C D, 1951, Y"])])
+        cases = [
+            (["x.txt", "x.txt"], ["x.txt"]),
+            (["x.txt", "./x.txt"], ["x.txt"]),
+            ([str(tmp_path / "x.txt"), "x.txt"], ["x.txt"]),
+            (["*.txt", "./x.txt"], ["x.txt", "y.txt"]),
+        ]
+        for inputs, once in cases:
+            runs = []
+            for names in (once, inputs):
+                argv = ["stats", "--out", "out"]
+                for name in names:
+                    argv += ["--input", name]
+                assert main(argv) == 0
+                captured = capsys.readouterr()
+                stats_csv = Path("out/stats.csv").read_text(encoding="utf-8")
+                runs.append((captured.out, captured.err, stats_csv))
+            assert runs[1] == runs[0], inputs
+            assert runs[1][1] == ""
 
     def test_bad_range_exits_two(self, spike_export, capsys):
         assert main(["spectrum", "--input", spike_export, "--range", "1905"]) == 2
@@ -481,9 +518,14 @@ _cr_texts = st.one_of(
     pub_year=_pub_years,
     crs=st.lists(_cr_texts, max_size=6),
     strict=st.booleans(),
+    author=st.one_of(
+        st.none(),
+        st.sampled_from(["", "  ", ".", ",.", "UNKNOWN", "Einstein, A.", "EINSTEIN A"]),
+        st.text(max_size=12),
+    ),
 )
 def test_generated_exports_only_return_exit_codes(
-    tmp_path, command, layout, pub_year, crs, strict
+    tmp_path, command, layout, pub_year, crs, strict, author
 ):
     path = tmp_path / "gen.txt"
     if layout == "tagged":
@@ -498,6 +540,8 @@ def test_generated_exports_only_return_exit_codes(
     argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
     if command == "drill":
         argv += ["--year", "1905"]
+        if author is not None:
+            argv.append(f"--author={author}")
     if strict:
         argv.append("--strict")
     assert main(argv) in (0, 1, 2)

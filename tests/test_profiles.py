@@ -3,21 +3,34 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rpys.profiles
 from rpys import (
+    AuthorShare,
+    AuthorWorkBreakdown,
     CitedReference,
     Corpus,
+    Peak,
+    RawRecord,
     Record,
     UNKNOWN_AUTHOR,
+    WorkShare,
+    YearProfile,
     author_breakdown,
+    build_corpus,
     compute_spectrum,
     detect_peaks,
     drill_year,
     median_deviation,
     parse_cited_reference,
     profile_all_peaks,
+    reference_key,
     round_share,
 )
 
@@ -222,3 +235,142 @@ def test_one_corpus_walked_once(monkeypatch):
     peaks = detect_peaks(median_deviation(spectrum))
     assert len(profile_all_peaks(corpus, peaks)) == 2
     assert len(calls) == 1
+
+
+# Reference drill: one reference_key call per cited-reference line, a full
+# sort, and a scan of every reference instead of the year index.
+
+
+def _sorted_rows(counts, top_k=None):
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+
+def _per_line_work_rows(refs, top_k=None):
+    works = Counter(map(reference_key, refs))
+    return tuple(
+        WorkShare(key, count, round_share(count, len(refs)))
+        for key, count in _sorted_rows(works, top_k)
+    )
+
+
+def _per_line_drill_year(corpus, year, top_k):
+    refs = [ref for ref in corpus.iter_refs() if ref.year == year]
+    total = len(refs)
+    authors = Counter(ref.first_author for ref in refs if ref.first_author is not None)
+    return YearProfile(
+        year=year,
+        total_refs=total,
+        author_rows=tuple(
+            AuthorShare(name, count, round_share(count, total))
+            for name, count in _sorted_rows(authors, top_k)
+        ),
+        work_rows=_per_line_work_rows(refs, top_k),
+        unattributed=total - sum(authors.values()),
+    )
+
+
+def _per_line_author_breakdown(corpus, author, year):
+    refs = [ref for ref in corpus.iter_refs() if ref.year == year and ref.first_author == author]
+    return AuthorWorkBreakdown(author, year, len(refs), _per_line_work_rows(refs))
+
+
+# Near-twins that normalize to one RefKey (and "[Anonymous]"/"Anonymous",
+# one key under two first authors), year-less and author-less lines, and
+# repeated authors with several works, so counts tie and keys merge.
+_DRILL_LINES = [
+    "Einstein A., 1905, ANN PHYS-BERLIN, V17",
+    "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17",
+    "EINSTEIN A, 1905, ANN. PHYS-BERLIN, V17",
+    "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891",
+    "POINCARE H, 1905, CR HEBD ACAD SCI, V140",
+    "[Anonymous], 1905, X",
+    "Anonymous, 1905, X",
+    "1905, ANON PAMPHLET",
+    "UNKNOWN, 1905, X",
+    "HUME D, TREATISE",
+    "KUHN TS, 1962, STRUCTURE SCI REVOLU",
+    "Kuhn TS, 1962, Structure Sci Revolu",
+    "KUHN TS, 1962, J UNIFIED INQ",
+    "1962, UNSIGNED NOTE",
+]
+_lines_st = st.lists(
+    st.one_of(
+        st.sampled_from(_DRILL_LINES),
+        st.builds(
+            "{} A, {}, SRC {}".format,
+            st.sampled_from("PQR"),
+            st.sampled_from([1905, 1962]),
+            st.sampled_from("XY"),
+        ),
+        st.text(max_size=20).filter(str.strip),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _drill_corpora(draw):
+    """A corpus from build_corpus (one shared object per distinct string) or a
+    hand-built one whose equal references are sometimes distinct objects."""
+    cited = draw(st.lists(_lines_st, max_size=6))
+    if draw(st.booleans()):
+        raws = [
+            RawRecord({"UT": [f"WOS:{i}"], "SO": ["J"], "PY": ["2010"], "CR": crs})
+            for i, crs in enumerate(cited)
+            if crs
+        ]
+        return build_corpus(raws)[0]
+    shared = {}
+    records = []
+    for i, crs in enumerate(cited):
+        refs = []
+        for line in crs:
+            if draw(st.booleans()):
+                refs.append(shared.setdefault(line, parse_cited_reference(line)))
+            else:
+                refs.append(parse_cited_reference(line))
+        records.append(Record(f"R{i}", "J", 2010, "", tuple(refs)))
+    return Corpus(tuple(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drill_corpora())
+def test_drills_match_per_line_reference(corpus):
+    years = sorted({ref.year for ref in corpus.iter_refs()} - {None}) + [1777]
+    for year in years:
+        for top_k in (1, 2, 3, 10, 1000):
+            assert drill_year(corpus, year, top_k) == _per_line_drill_year(corpus, year, top_k)
+        authors = {ref.first_author for ref in corpus.iter_refs() if ref.year == year}
+        for author in sorted(authors - {None}) + ["ABSENT Z"]:
+            assert author_breakdown(corpus, author, year) == _per_line_author_breakdown(
+                corpus, author, year
+            )
+    peaks = [Peak(year, Fraction(1), 1, rank) for rank, year in enumerate(reversed(years), 1)]
+    for top_k in (1, 3):
+        assert profile_all_peaks(corpus, peaks, top_k) == [
+            _per_line_drill_year(corpus, year, top_k) for year in sorted(years)
+        ]
+
+
+def test_reference_key_called_once_per_distinct_object(monkeypatch, drill_corpus):
+    keyed = []
+
+    def counted(ref):
+        keyed.append(ref)
+        return reference_key(ref)
+
+    monkeypatch.setattr(rpys.profiles, "reference_key", counted)
+    refs = drill_corpus.by_year[1905]
+    distinct = {id(ref) for ref in refs}
+    assert (len(refs), len(distinct)) == (100, 70)
+
+    drill_year(drill_corpus, 1905)
+    assert sorted(map(id, keyed)) == sorted(distinct)
+
+    keyed.clear()
+    breakdown = author_breakdown(drill_corpus, "EINSTEIN A", 1905)
+    assert breakdown.total_refs == 24
+    assert sorted(map(id, keyed)) == sorted(
+        {id(ref) for ref in refs if ref.first_author == "EINSTEIN A"}
+    )
+    assert len(keyed) == 3
