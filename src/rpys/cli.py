@@ -384,6 +384,9 @@ def _profile_payload(profile) -> dict:
 def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
     if author is not None and not author_token(author):
         raise CliError(f"--author {author!r} has no name after normalization")
+    # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
+    if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
+        raise CliError(f"--author {author!r} is not valid text")
     corpus = _load_corpus(config)
     out = _out_dir(config)
 

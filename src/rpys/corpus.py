@@ -45,7 +45,6 @@ class Record:
     uid: str
     journal: str
     pub_year: int
-    doc_type: str
     cited_refs: tuple[CitedReference, ...]
 
 
@@ -227,15 +226,7 @@ def build_corpus(
             continue
 
         refs = tuple(map(parsed.__getitem__, raw.get("CR")))
-        kept.append(
-            Record(
-                uid=uid,
-                journal=journal,
-                pub_year=pub_year,
-                doc_type=raw.first("DT") or "",
-                cited_refs=refs,
-            )
-        )
+        kept.append(Record(uid=uid, journal=journal, pub_year=pub_year, cited_refs=refs))
 
     diag.records_kept = len(kept)
     return Corpus(tuple(kept)), diag

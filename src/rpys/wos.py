@@ -43,6 +43,8 @@ _Defect = Callable[[int, str], None]
 # it is not read as a year.
 MIN_RPY = 1000
 MAX_RPY = 2100
+# A DOI segment's value follows its (sometimes repeated) "DOI " prefixes.
+_DOI_PREFIXES = re.compile(r"^(?:DOI )+")
 
 
 class UnrecognizedFormatError(ValueError):
@@ -257,82 +259,46 @@ def _is_rpy(segment: str) -> bool:
     )
 
 
-def _is_volume(segment: str) -> bool:
-    return len(segment) >= 2 and segment[0] == "V" and segment[1].isdigit()
-
-
-def _is_page(segment: str) -> bool:
-    return len(segment) >= 2 and segment[0] == "P" and segment[1:].isalnum()
-
-
-def _is_doi(segment: str) -> bool:
-    return segment.startswith("DOI ") and len(segment) > 4
-
-
-def _doi_value(segment: str) -> str:
-    while segment.startswith("DOI "):
-        segment = segment[4:]
-    return segment.strip()
-
-
 def parse_cited_reference(cr_line: str) -> CitedReference:
-    """Parse one cited-reference string.
+    """Parse one cited-reference string in one left-to-right pass.
 
-    Grammar: segments split on ``", "``.  The first segment is the
-    author token, except when it is itself the year (anonymous works
-    shift the year into first position, leaving the author absent).
-    The year is the first standalone 4-digit segment in
-    [``MIN_RPY``, ``MAX_RPY``];
-    the segment after it is the source unless it looks like a volume,
-    page or DOI segment.  ``Vnn`` / ``Pnn`` / ``DOI ...`` segments fill
-    volume, page and doi; everything else is ignored.  Never raises on
-    a non-empty line, and the raw text is always preserved verbatim.
+    The line is split on ``", "`` and each segment stripped.  The first
+    segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year.
+    The first segment is the author, unless it is the year (an anonymous
+    work).  The segment just after the year is the source, unless it is
+    empty or a volume, page or DOI segment.  The first ``V<digit>...``,
+    ``P<alphanumerics>`` and ``DOI ...`` among the other segments fill
+    volume, page and doi; the rest are ignored.  Never raises on a
+    non-empty line, and the raw text is always preserved verbatim.
+
+    >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
+    >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
+    ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
+    >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
+    >>> ref.first_author, ref.year, ref.source
+    (None, 1923, 'RELATIVITY THEORY')
     """
     stripped = cr_line.strip()
     if not stripped:
         raise ValueError("cited-reference line is empty")
-    segments = [seg.strip() for seg in stripped.split(", ")]
-
-    year: int | None = None
-    year_idx: int | None = None
-    for idx, seg in enumerate(segments):
-        if _is_rpy(seg):
-            year = int(seg)
-            year_idx = idx
-            break
-
-    first_author: str | None = None
-    if year_idx != 0:
-        candidate = normalize_author(segments[0])
-        if candidate != UNKNOWN_AUTHOR:
-            first_author = candidate
-
-    claimed = {0}
-    source: str | None = None
-    if year_idx is not None:
-        claimed.add(year_idx)
-        if year_idx + 1 < len(segments):
-            nxt = segments[year_idx + 1]
-            if nxt and not (_is_volume(nxt) or _is_page(nxt) or _is_doi(nxt)):
-                source = nxt
-                claimed.add(year_idx + 1)
-
-    volume: str | None = None
-    page: str | None = None
-    doi: str | None = None
-    for idx, seg in enumerate(segments):
-        if idx in claimed or not seg:
-            continue
-        if volume is None and _is_volume(seg):
-            volume = seg[1:]
-        elif page is None and _is_page(seg):
-            page = seg[1:]
-        elif doi is None and _is_doi(seg):
-            doi = _doi_value(seg)
-
+    author = year = year_idx = source = volume = page = doi = None
+    for idx, seg in enumerate([s.strip() for s in stripped.split(", ")]):
+        # Each field keeps its first value; a taken segment fills no other.
+        if year is None and _is_rpy(seg):
+            year, year_idx = int(seg), idx
+        elif idx == 0:
+            author = normalize_author(seg)
+        elif seg[:1] == "V" and seg[1:2].isdigit():
+            volume = volume or seg[1:]
+        elif seg[:1] == "P" and seg[1:].isalnum():
+            page = page or seg[1:]
+        elif seg.startswith("DOI "):
+            doi = doi or _DOI_PREFIXES.sub("", seg).strip()
+        elif seg and idx - 1 == year_idx:
+            source = seg
     return CitedReference(
         raw=cr_line,
-        first_author=first_author,
+        first_author=None if author == UNKNOWN_AUTHOR else author,
         year=year,
         source=source,
         volume=volume,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,19 @@ class TestDrillCommand:
         assert main([*base, "--author", "UNKNOWN"]) == 2
         err = capsys.readouterr().err
         assert err == "rpys: cannot break down the unattributed bucket by work\n"
+
+    def test_author_that_is_not_text_exits_two(self, tmp_path, drill_export_text, capsys):
+        # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
+        path = tmp_path / "drill.txt"
+        path.write_text(drill_export_text, encoding="utf-8")
+        out = tmp_path / "out"
+        base = ["drill", "--input", str(path), "--year", "1905", "--out", str(out)]
+        for author in (os.fsdecode(b"\xff"), os.fsdecode(b"EINSTEIN \xc3")):
+            assert main([*base, "--author", author]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"rpys: --author {author!r} is not valid text\n"
+        assert not out.exists()
 
     def test_empty_year_exits_one(self, tmp_path, drill_export_text):
         path = tmp_path / "drill.txt"
@@ -522,6 +536,7 @@ _cr_texts = st.one_of(
         st.none(),
         st.sampled_from(["", "  ", ".", ",.", "UNKNOWN", "Einstein, A.", "EINSTEIN A"]),
         st.text(max_size=12),
+        st.binary(min_size=1, max_size=12).map(os.fsdecode),  # argv bytes, maybe not UTF-8
     ),
 )
 def test_generated_exports_only_return_exit_codes(

@@ -156,7 +156,7 @@ def _build_parsing_every_line(records, journal_filter):
             diag.excluded_by_filter += 1
         else:
             refs = tuple(parse_cited_reference(line) for line in raw.get("CR"))
-            kept.append(Record(uid, journal, pub_year, "", refs))
+            kept.append(Record(uid, journal, pub_year, refs))
     diag.records_kept = len(kept)
     return Corpus(tuple(kept)), diag
 

@@ -37,7 +37,7 @@ from rpys import (
 
 def corpus_of_lines(lines, pub_year=2013):
     refs = tuple(parse_cited_reference(line) for line in lines)
-    record = Record(uid="R1", journal="J", pub_year=pub_year, doc_type="", cited_refs=refs)
+    record = Record(uid="R1", journal="J", pub_year=pub_year, cited_refs=refs)
     return Corpus((record,))
 
 
@@ -126,11 +126,11 @@ class TestDrillYear:
         shuffled = refs[:]
         rng.shuffle(shuffled)
         one = Corpus(
-            (Record(uid="R1", journal="J", pub_year=2000, doc_type="", cited_refs=tuple(refs)),)
+            (Record(uid="R1", journal="J", pub_year=2000, cited_refs=tuple(refs)),)
         )
         two = Corpus(
             tuple(
-                Record(uid=f"R{i}", journal="J", pub_year=2000, doc_type="", cited_refs=(ref,))
+                Record(uid=f"R{i}", journal="J", pub_year=2000, cited_refs=(ref,))
                 for i, ref in enumerate(shuffled)
             )
         )
@@ -329,7 +329,7 @@ def _drill_corpora(draw):
                 refs.append(shared.setdefault(line, parse_cited_reference(line)))
             else:
                 refs.append(parse_cited_reference(line))
-        records.append(Record(f"R{i}", "J", 2010, "", tuple(refs)))
+        records.append(Record(f"R{i}", "J", 2010, tuple(refs)))
     return Corpus(tuple(records))
 
 

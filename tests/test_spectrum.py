@@ -22,9 +22,7 @@ from rpys import (
 
 def corpus_of_years(years, pub_year=2013):
     refs = tuple(CitedReference(raw=f"AUTHOR A, {y}, SRC", year=y) for y in years)
-    record = Record(
-        uid="R1", journal="J TEST", pub_year=pub_year, doc_type="Article", cited_refs=refs
-    )
+    record = Record(uid="R1", journal="J TEST", pub_year=pub_year, cited_refs=refs)
     return Corpus((record,))
 
 
@@ -83,7 +81,6 @@ class TestComputeSpectrum:
             uid="R1",
             journal="J TEST",
             pub_year=2013,
-            doc_type="",
             cited_refs=(CitedReference(raw="OLD SCROLL", year=905),),
         )
         spectrum = compute_spectrum(Corpus((record,)))
@@ -115,7 +112,7 @@ class TestComputeSpectrum:
             CitedReference(raw="HUME D, TREATISE", year=None),
             CitedReference(raw="A B, 1905, X", year=1905),
         )
-        record = Record(uid="R1", journal="J", pub_year=2000, doc_type="", cited_refs=refs)
+        record = Record(uid="R1", journal="J", pub_year=2000, cited_refs=refs)
         spectrum = compute_spectrum(Corpus((record,)))
         assert spectrum.total == 1
         assert spectrum.dropped_out_of_range == 0

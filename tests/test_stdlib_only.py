@@ -1,0 +1,28 @@
+"""The package imports nothing but the standard library and itself."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rpys"
+
+
+def _foreign_imports(path: Path) -> list[str]:
+    """Top-level names of absolute imports in ``path`` outside the stdlib."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_package_imports_only_stdlib_and_itself():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "wos.py" in sources
+    foreign = {path.name: _foreign_imports(path) for path in sources}
+    assert {name: found for name, found in foreign.items() if found} == {}

@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpys import (
+    UNKNOWN_AUTHOR,
+    CitedReference,
     ExportParseError,
     RawRecord,
     UnrecognizedFormatError,
     detect_format,
     load_export,
+    normalize_author,
     parse_cited_reference,
     parse_export,
     serialize_export,
 )
-from rpys.wos import TAB_DELIMITED, TAGGED, decode_export_bytes
+from rpys.wos import MAX_RPY, MIN_RPY, TAB_DELIMITED, TAGGED, decode_export_bytes
 
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
@@ -339,6 +342,120 @@ class TestCitedReferenceGrammar:
         assert ref.raw == line
         if ref.year is not None:
             assert 1000 <= ref.year <= 2100
+
+
+# Reference grammar: the earlier two-pass parse, kept verbatim.  It finds
+# the year first, claims the author, year and source segments, then scans
+# the unclaimed ones for volume, page and DOI.
+def _is_rpy(segment: str) -> bool:
+    return (
+        len(segment) == 4
+        and segment.isascii()
+        and segment.isdigit()
+        and MIN_RPY <= int(segment) <= MAX_RPY
+    )
+
+
+def _is_volume(segment: str) -> bool:
+    return len(segment) >= 2 and segment[0] == "V" and segment[1].isdigit()
+
+
+def _is_page(segment: str) -> bool:
+    return len(segment) >= 2 and segment[0] == "P" and segment[1:].isalnum()
+
+
+def _is_doi(segment: str) -> bool:
+    return segment.startswith("DOI ") and len(segment) > 4
+
+
+def _doi_value(segment: str) -> str:
+    while segment.startswith("DOI "):
+        segment = segment[4:]
+    return segment.strip()
+
+
+def _two_pass_parse(cr_line: str) -> CitedReference:
+    stripped = cr_line.strip()
+    if not stripped:
+        raise ValueError("cited-reference line is empty")
+    segments = [seg.strip() for seg in stripped.split(", ")]
+
+    year: int | None = None
+    year_idx: int | None = None
+    for idx, seg in enumerate(segments):
+        if _is_rpy(seg):
+            year = int(seg)
+            year_idx = idx
+            break
+
+    first_author: str | None = None
+    if year_idx != 0:
+        candidate = normalize_author(segments[0])
+        if candidate != UNKNOWN_AUTHOR:
+            first_author = candidate
+
+    claimed = {0}
+    source: str | None = None
+    if year_idx is not None:
+        claimed.add(year_idx)
+        if year_idx + 1 < len(segments):
+            nxt = segments[year_idx + 1]
+            if nxt and not (_is_volume(nxt) or _is_page(nxt) or _is_doi(nxt)):
+                source = nxt
+                claimed.add(year_idx + 1)
+
+    volume: str | None = None
+    page: str | None = None
+    doi: str | None = None
+    for idx, seg in enumerate(segments):
+        if idx in claimed or not seg:
+            continue
+        if volume is None and _is_volume(seg):
+            volume = seg[1:]
+        elif page is None and _is_page(seg):
+            page = seg[1:]
+        elif doi is None and _is_doi(seg):
+            doi = _doi_value(seg)
+
+    return CitedReference(
+        raw=cr_line,
+        first_author=first_author,
+        year=year,
+        source=source,
+        volume=volume,
+        page=page,
+        doi=doi,
+    )
+
+
+_SEGMENTS = [
+    # authors and sources
+    "EINSTEIN A", "Kuhn, T.S.", "[Anonymous]", "*US DEP ENERGY", "UNKNOWN", ".",
+    "ANN PHYS-BERLIN", "J INFORMETR", "STRUCTURE SCI REVOLU",
+    # years at and past the window's edges, and non-ASCII digits
+    "0999", "1000", "1500", "1905", "2100", "2101", "１９０５", "19０5", "190", "19050",
+    # volume, page and DOI look-alikes
+    "V", "V17", "V4", "Vx", "V１７", "v17", "P", "P891", "P20", "PA1", "P-1", "p12",
+    "DOI ", "DOI", "DOI 10.1/x", "DOI DOI 10.1/x", "DOI  10.2/y", "DOIx",
+    # empty and whitespace-only segments, inner double spaces
+    "", " ", "  ", "EINSTEIN  A", "ANN  PHYS",
+]
+_segment_st = st.builds(
+    lambda lead, roll, known, free, trail: lead + (free if roll == 0 else known) + trail,
+    st.sampled_from(["", " ", "  ", "\t"]),
+    st.integers(0, 4),  # one segment in five is free text over the grammar's letters
+    st.sampled_from(_SEGMENTS),
+    st.text(st.sampled_from("V P DOI 19052,"), max_size=6),
+    st.sampled_from(["", " ", "  "]),
+)
+_cr_line_st = st.lists(_segment_st, min_size=1, max_size=8).map(", ".join).filter(str.strip)
+
+
+class TestCitedReferenceDifferential:
+    @settings(max_examples=1000)
+    @given(_cr_line_st)
+    def test_one_pass_matches_two_pass_reference(self, line):
+        assert parse_cited_reference(line) == _two_pass_parse(line)
 
 
 # One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
