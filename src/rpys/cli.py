@@ -251,6 +251,16 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _shown(path: Path) -> str:
+    """A written path as printable text.
+
+    On POSIX, bytes of a file name that are not UTF-8 arrive as lone
+    surrogates, which a strict stdout cannot encode; they are shown
+    backslash-escaped, and every other path prints as it is.
+    """
+    return str(path).encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -316,7 +326,7 @@ def cmd_stats(config: RunConfig) -> int:
     if config.out_dir is not None:
         path = _out_dir(config) / STATS_CSV
         _write_text(path, _render_stats_csv(stats))
-        print(f"wrote {path}")
+        print(f"wrote {_shown(path)}")
     return EXIT_OK if stats.total_records else EXIT_EMPTY
 
 
@@ -329,7 +339,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         f"{spectrum.total} cited references over {len(spectrum.counts)} years "
         f"({spectrum.dropped_out_of_range} outside valid range, "
         f"{spectrum.without_year} without a year); "
-        f"wrote {out / RPYS_CSV}, {out / MEDIAN_CSV}"
+        f"wrote {_shown(out / RPYS_CSV)}, {_shown(out / MEDIAN_CSV)}"
     )
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
@@ -348,14 +358,15 @@ def cmd_peaks(config: RunConfig) -> int:
         for p in peaks
     ]
     _write_json(out / PEAKS_JSON, payload)
+    shown = _shown(out / PEAKS_JSON)
     if not peaks:
-        print(f"no peaks above deviation {config.min_deviation}; wrote {out / PEAKS_JSON}")
+        print(f"no peaks above deviation {config.min_deviation}; wrote {shown}")
         return EXIT_EMPTY
     print("rank  year  n_cr  median5  deviation")
     for p in peaks:
         median = _dec1(series.row(p.year)[1])
         print(f"{p.rank:>4}  {p.year:>4}  {p.n_cr:>4}  {median:>7}  {_dec1(p.deviation):>9}")
-    print(f"wrote {out / PEAKS_JSON}")
+    print(f"wrote {shown}")
     return EXIT_OK
 
 
@@ -419,7 +430,7 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
             if payload[section]:
                 print(f"top {section}:")
                 _print_rows(payload[section], label)
-    print(f"wrote {path}")
+    print(f"wrote {_shown(path)}")
     return EXIT_OK if payload["total_refs"] else EXIT_EMPTY
 
 
@@ -427,7 +438,7 @@ def cmd_plot(config: RunConfig) -> int:
     spectrum, series, peaks = _analyze(config)
     path = _out_dir(config) / SPECTROGRAM_SVG
     _write_text(path, render_spectrogram(series, peaks))
-    print(f"wrote {path} ({len(peaks)} peak years labeled)")
+    print(f"wrote {_shown(path)} ({len(peaks)} peak years labeled)")
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
 

@@ -45,6 +45,20 @@ MIN_RPY = 1000
 MAX_RPY = 2100
 # A DOI segment's value follows its (sometimes repeated) "DOI " prefixes.
 _DOI_PREFIXES = re.compile(r"^(?:DOI )+")
+# The common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]", ASCII
+# only, on which the segment walk provably gives the same fields: an
+# upper-case author, if any, with single inner spaces (normalize_author
+# leaves it as is, and it is no year), a year in MIN_RPY..MAX_RPY, a
+# source that is no volume, page or DOI segment, and no segment with a
+# comma or an outer space.
+_CR_CHAR = r"[!-+\--~]"  # printable ASCII but space and comma
+_COMMON_CR = re.compile(
+    r"(?:([A-Z][A-Z0-9'-]*(?: [A-Z0-9'-]+)*), )?"  # author, unless anonymous
+    r"(1[0-9]{3}|20[0-9]{2}|2100)"  # year
+    rf", (?!V[0-9]|P[A-Za-z0-9]+(?:,|\Z)|DOI )({_CR_CHAR}(?:[ !-+\--~]*{_CR_CHAR})?)"  # source
+    rf"(?:, V([0-9]{_CR_CHAR}*))?"  # volume
+    r"(?:, P([A-Za-z0-9]+))?"  # page
+)
 
 
 class UnrecognizedFormatError(ValueError):
@@ -260,7 +274,7 @@ def _is_rpy(segment: str) -> bool:
 
 
 def parse_cited_reference(cr_line: str) -> CitedReference:
-    """Parse one cited-reference string in one left-to-right pass.
+    """Parse one cited-reference string into its fields.
 
     The line is split on ``", "`` and each segment stripped.  The first
     segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year.
@@ -271,13 +285,33 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     volume, page and doi; the rest are ignored.  Never raises on a
     non-empty line, and the raw text is always preserved verbatim.
 
+    The common shape, ``[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]`` in
+    upper-case ASCII, is read by one regular expression.  Every other
+    string goes to the segment walk (``_parse_segments``), which is the
+    rule above; the regular expression accepts only strings on which the
+    two agree, so the rule is the same for both.
+
     >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
     >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
     ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
     >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
     >>> ref.first_author, ref.year, ref.source
     (None, 1923, 'RELATIVITY THEORY')
+    >>> ref = parse_cited_reference("[Anonymous], 1905, X")  # the segment walk
+    >>> ref.first_author, ref.year, ref.source
+    ('[ANONYMOUS]', 1905, 'X')
     """
+    match = _COMMON_CR.fullmatch(cr_line)
+    if match is None:
+        return _parse_segments(cr_line)
+    author, year, source, volume, page = match.groups()
+    return CitedReference(
+        cr_line, None if author == UNKNOWN_AUTHOR else author, int(year), source, volume, page
+    )
+
+
+def _parse_segments(cr_line: str) -> CitedReference:
+    """The rule of :func:`parse_cited_reference`: one pass over the segments."""
     stripped = cr_line.strip()
     if not stripped:
         raise ValueError("cited-reference line is empty")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -452,6 +454,35 @@ class TestFlagsAndErrors:
             path.write_text(content, encoding="utf-8")
             assert main(["stats", "--input", str(path)]) == 2
             assert "unrecognized" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs file names that are not UTF-8")
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            (["stats"], "stats.csv"),
+            (["spectrum"], "median.csv"),
+            (["peaks"], "peaks.json"),
+            (["drill", "--year", "1904"], "profile_1904.json"),
+            (["plot"], "spectrogram.svg"),
+        ],
+        ids=["stats", "spectrum", "peaks", "drill", "plot"],
+    )
+    def test_out_dir_not_utf8_is_printed_escaped(self, tmp_path, spike_export, command, artifact):
+        # A strict UTF-8 stdout cannot print the lone surrogate that the
+        # undecodable byte of a POSIX file name becomes.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=str(src))
+        run = "from rpys.cli import entrypoint; entrypoint()"
+
+        def rpys(out: bytes) -> subprocess.CompletedProcess:
+            argv = [sys.executable, "-c", run, *command, "--input", spike_export, "--out", out]
+            return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+
+        plain, odd = rpys(b"q"), rpys(b"p\xff")
+        assert (plain.returncode, plain.stderr) == (0, b"")
+        assert (odd.returncode, odd.stderr) == (0, b"")
+        assert (tmp_path / os.fsdecode(b"p\xff") / artifact).is_file()
+        assert odd.stdout == plain.stdout.replace(b"q/", b"p\\udcff/")
 
     def test_shuffled_inputs_identical_artifacts(self, tmp_path):
         paths = []

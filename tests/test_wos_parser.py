@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import codecs
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rpys.wos
 from rpys import (
     UNKNOWN_AUTHOR,
     CitedReference,
     ExportParseError,
     RawRecord,
     UnrecognizedFormatError,
+    build_corpus,
     detect_format,
     load_export,
     normalize_author,
@@ -21,7 +24,15 @@ from rpys import (
     parse_export,
     serialize_export,
 )
-from rpys.wos import MAX_RPY, MIN_RPY, TAB_DELIMITED, TAGGED, decode_export_bytes
+from rpys.wos import (
+    _COMMON_CR,
+    MAX_RPY,
+    MIN_RPY,
+    TAB_DELIMITED,
+    TAGGED,
+    _parse_segments,
+    decode_export_bytes,
+)
 
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
@@ -456,6 +467,120 @@ class TestCitedReferenceDifferential:
     @given(_cr_line_st)
     def test_one_pass_matches_two_pass_reference(self, line):
         assert parse_cited_reference(line) == _two_pass_parse(line)
+
+
+# Strings of the common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]":
+# each slot is (its usual values, its near misses), and a string takes at
+# most one near miss, so every near miss is tried beside a shape that
+# would otherwise hold.  "-" stands for no author segment at all.
+_near_text_st = st.text(st.sampled_from("AVPDOI19 ,.'-a*"), max_size=6)
+_CR_SLOTS = [
+    ([""], st.sampled_from([" ", "  ", "\t", "\xa0"])),
+    (
+        ["EINSTEIN A", "VAN FRAASSEN BC", "O'NEILL J", "HAVERFORD-SMITH E", "UNKNOWN", "A", "-"],
+        st.one_of(
+            st.sampled_from(
+                ["Kuhn TS", "[Anonymous]", "*US DEP ENERGY", "EINSTEIN  A", "EINSTEIN A.",
+                 "KUHN, T", "1905", "2100", "0999", "ÉMILE X", "1A B", ""]
+            ),
+            _near_text_st,
+        ),
+    ),
+    ([", "], st.sampled_from([",  ", ",", " , ", ",\t", ", ,"])),
+    (
+        ["1000", "1500", "1905", "1999", "2000", "2100"],
+        st.sampled_from(["0999", "2101", "１９０５", "19０5", "190", "19050", "", "1905 "]),
+    ),
+    ([", "], st.sampled_from([",  ", ",", " , ", ",\t", ", ,"])),
+    (
+        ["ANN PHYS-BERLIN", "J INFORMETR", "P", "V", "Vx", "DOI", "1905", "ANN  PHYS",
+         "P12 SUPPL"],
+        st.one_of(
+            st.sampled_from(
+                ["V2 X", "V17", "P12", "PA1", "DOI 10.1/x", "DOI DOI 10.1/x", "", " ", "Ann Phys",
+                 "ANN PHYS ", " ANN PHYS", "ANN\tPHYS", "ANN PHYS\xa0", "ЖУРНАЛ"]
+            ),
+            _near_text_st,
+        ),
+    ),
+    (
+        ["", ", V17", ", V4A", ", V1-2"],
+        st.sampled_from([", Vx", ", V", ", V１７", ", V17 SUPPL", ", v17", ", V17 ", ",V17"]),
+    ),
+    (
+        ["", ", P891", ", PA1", ", P12A"],
+        st.sampled_from([", P", ", P12 SUPPL", ", P-1", ", p12", ", P１", ", P12 ", ",  P12"]),
+    ),
+    (
+        [""],
+        st.lists(
+            st.sampled_from(["DOI 10.1/x", "V61", "P99", "X", "1905", "", " "]),
+            min_size=1,
+            max_size=3,
+        ).map(lambda segments: "".join(", " + seg for seg in segments)),
+    ),
+    ([""], st.sampled_from([" ", "  ", "\t", "\xa0"])),
+]
+
+
+@st.composite
+def _shaped_cr_st(draw) -> str:
+    # Slot index of the near miss; the upper half of the range means none.
+    odd = draw(st.sampled_from(range(2 * len(_CR_SLOTS))))
+    parts = [
+        draw(near if idx == odd else st.sampled_from(usual))
+        for idx, (usual, near) in enumerate(_CR_SLOTS)
+    ]
+    if parts[1] == "-":
+        parts[1:3] = ["", ""]
+    line = "".join(parts)
+    assume(line.strip())
+    return line
+
+
+class TestCommonShape:
+    def test_regex_agrees_with_segment_walk(self):
+        took_regex = []
+
+        @settings(max_examples=1500)
+        @given(_shaped_cr_st())
+        def agree(line):
+            took_regex.append(_COMMON_CR.fullmatch(line) is not None)
+            assert parse_cited_reference(line) == _parse_segments(line)
+
+        agree()
+        # Many examples must take the regex, or the agreement shows nothing.
+        assert sum(took_regex) >= 0.3 * len(took_regex)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            f"EINSTEIN A, {year}, ANN PHYS"
+            for year in ("0999", MIN_RPY, MAX_RPY, MAX_RPY + 1, "１９０５")
+        ]
+        + [
+            f"EINSTEIN A, 1905, {source}{tail}"
+            for source in ("V2 X", "V17", "P12", "PA1", "P12 SUPPL", "Vx", "P", "DOI 10.1/x")
+            for tail in ("", ", V17", ", P891")
+        ],
+    )
+    def test_near_miss_at_each_edge(self, line):
+        assert parse_cited_reference(line) == _parse_segments(line)
+
+    def test_demo_export_mostly_takes_the_regex(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+        from demo_pipeline import synthesize_export
+
+        records, _ = parse_export(synthesize_export(7, 300))
+        walked = []
+        monkeypatch.setattr(
+            rpys.wos, "_parse_segments", lambda line: walked.append(line) or _parse_segments(line)
+        )
+        build_corpus(records)
+        distinct = {line for record in records for line in record.get("CR")}
+        assert len(walked) <= 0.05 * len(distinct)
+        # What falls back lacks a year (the demo's undated working papers).
+        assert all(_parse_segments(line).year is None for line in walked)
 
 
 # One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
