@@ -251,16 +251,6 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _shown(path: Path) -> str:
-    """A written path as printable text.
-
-    On POSIX, bytes of a file name that are not UTF-8 arrive as lone
-    surrogates, which a strict stdout cannot encode; they are shown
-    backslash-escaped, and every other path prints as it is.
-    """
-    return str(path).encode("utf-8", "backslashreplace").decode("utf-8")
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -326,7 +316,7 @@ def cmd_stats(config: RunConfig) -> int:
     if config.out_dir is not None:
         path = _out_dir(config) / STATS_CSV
         _write_text(path, _render_stats_csv(stats))
-        print(f"wrote {_shown(path)}")
+        print(f"wrote {path}")
     return EXIT_OK if stats.total_records else EXIT_EMPTY
 
 
@@ -339,7 +329,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         f"{spectrum.total} cited references over {len(spectrum.counts)} years "
         f"({spectrum.dropped_out_of_range} outside valid range, "
         f"{spectrum.without_year} without a year); "
-        f"wrote {_shown(out / RPYS_CSV)}, {_shown(out / MEDIAN_CSV)}"
+        f"wrote {out / RPYS_CSV}, {out / MEDIAN_CSV}"
     )
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
@@ -358,15 +348,14 @@ def cmd_peaks(config: RunConfig) -> int:
         for p in peaks
     ]
     _write_json(out / PEAKS_JSON, payload)
-    shown = _shown(out / PEAKS_JSON)
     if not peaks:
-        print(f"no peaks above deviation {config.min_deviation}; wrote {shown}")
+        print(f"no peaks above deviation {config.min_deviation}; wrote {out / PEAKS_JSON}")
         return EXIT_EMPTY
     print("rank  year  n_cr  median5  deviation")
     for p in peaks:
         median = _dec1(series.row(p.year)[1])
         print(f"{p.rank:>4}  {p.year:>4}  {p.n_cr:>4}  {median:>7}  {_dec1(p.deviation):>9}")
-    print(f"wrote {shown}")
+    print(f"wrote {out / PEAKS_JSON}")
     return EXIT_OK
 
 
@@ -430,7 +419,7 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
             if payload[section]:
                 print(f"top {section}:")
                 _print_rows(payload[section], label)
-    print(f"wrote {_shown(path)}")
+    print(f"wrote {path}")
     return EXIT_OK if payload["total_refs"] else EXIT_EMPTY
 
 
@@ -438,7 +427,7 @@ def cmd_plot(config: RunConfig) -> int:
     spectrum, series, peaks = _analyze(config)
     path = _out_dir(config) / SPECTROGRAM_SVG
     _write_text(path, render_spectrogram(series, peaks))
-    print(f"wrote {_shown(path)} ({len(peaks)} peak years labeled)")
+    print(f"wrote {path} ({len(peaks)} peak years labeled)")
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
 
@@ -463,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # Paths and input text print even where stdout cannot encode them (an
+    # ASCII stream, or lone surrogates from file names that are not UTF-8).
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main(sys.argv[1:]))
 
 

@@ -45,19 +45,33 @@ MIN_RPY = 1000
 MAX_RPY = 2100
 # A DOI segment's value follows its (sometimes repeated) "DOI " prefixes.
 _DOI_PREFIXES = re.compile(r"^(?:DOI )+")
-# The common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]", ASCII
-# only, on which the segment walk provably gives the same fields: an
-# upper-case author, if any, with single inner spaces (normalize_author
-# leaves it as is, and it is no year), a year in MIN_RPY..MAX_RPY, a
-# source that is no volume, page or DOI segment, and no segment with a
-# comma or an outer space.
+# The common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI <doi>]",
+# ASCII only, on which the segment walk provably gives the same fields: an
+# author, if any, of letters, digits, "'" and "-" with single inner spaces
+# (normalize_author only upper-cases it, and it is no year), four digits
+# that parse_cited_reference still checks against MIN_RPY..MAX_RPY, a
+# source that is no volume, page or DOI segment, a DOI without a repeated
+# prefix, and no segment with a comma or an outer space.
+_CR_AUTHOR = r"[A-Za-z][A-Za-z0-9'-]*(?: [A-Za-z0-9'-]+)*"
 _CR_CHAR = r"[!-+\--~]"  # printable ASCII but space and comma
+_CR_TEXT = rf"{_CR_CHAR}+(?: +{_CR_CHAR}+)*"  # runs of them, spaces between
+
+
+def _segment(name: str, pattern: str) -> str:
+    # A named group that a failed match never backtracks into (an atomic
+    # group, which re lacks before Python 3.11): a lookahead captures it and
+    # a backreference consumes it.  No segment holds a comma, so giving
+    # characters back could not let the next ", " match.
+    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
+
+
 _COMMON_CR = re.compile(
-    r"(?:([A-Z][A-Z0-9'-]*(?: [A-Z0-9'-]+)*), )?"  # author, unless anonymous
-    r"(1[0-9]{3}|20[0-9]{2}|2100)"  # year
-    rf", (?!V[0-9]|P[A-Za-z0-9]+(?:,|\Z)|DOI )({_CR_CHAR}(?:[ !-+\--~]*{_CR_CHAR})?)"  # source
-    rf"(?:, V([0-9]{_CR_CHAR}*))?"  # volume
-    r"(?:, P([A-Za-z0-9]+))?"  # page
+    f"(?:{_segment('author', _CR_AUTHOR)}, )?"
+    r"(?P<year>[0-9]{4}), "
+    rf"(?!V[0-9]|P[A-Za-z0-9]+(?:,|\Z)|DOI ){_segment('source', _CR_TEXT)}"
+    f"(?:, V{_segment('volume', '[0-9]' + _CR_CHAR + '*')})?"
+    f"(?:, P{_segment('page', '[A-Za-z0-9]+')})?"
+    f"(?:, DOI (?!DOI ){_segment('doi', _CR_TEXT)})?"
 )
 
 
@@ -285,8 +299,8 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     volume, page and doi; the rest are ignored.  Never raises on a
     non-empty line, and the raw text is always preserved verbatim.
 
-    The common shape, ``[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]`` in
-    upper-case ASCII, is read by one regular expression.  Every other
+    The common shape, ``[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI
+    <doi>]`` in ASCII, is read by one regular expression.  Every other
     string goes to the segment walk (``_parse_segments``), which is the
     rule above; the regular expression accepts only strings on which the
     two agree, so the rule is the same for both.
@@ -294,6 +308,9 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
     >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
     ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
+    >>> ref = parse_cited_reference("Kuhn TS, 1962, STRUCT SCI REVOL, DOI 10.1/x")
+    >>> ref.first_author, ref.year, ref.source, ref.doi
+    ('KUHN TS', 1962, 'STRUCT SCI REVOL', '10.1/x')
     >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
     >>> ref.first_author, ref.year, ref.source
     (None, 1923, 'RELATIVITY THEORY')
@@ -304,9 +321,14 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     match = _COMMON_CR.fullmatch(cr_line)
     if match is None:
         return _parse_segments(cr_line)
-    author, year, source, volume, page = match.groups()
+    author, year, source, volume, page, doi = match.groups()
+    year = int(year)
+    if not MIN_RPY <= year <= MAX_RPY:
+        return _parse_segments(cr_line)
+    if author is not None:
+        author = author.upper()
     return CitedReference(
-        cr_line, None if author == UNKNOWN_AUTHOR else author, int(year), source, volume, page
+        cr_line, None if author == UNKNOWN_AUTHOR else author, year, source, volume, page, doi
     )
 
 

@@ -467,22 +467,45 @@ class TestFlagsAndErrors:
         ],
         ids=["stats", "spectrum", "peaks", "drill", "plot"],
     )
-    def test_out_dir_not_utf8_is_printed_escaped(self, tmp_path, spike_export, command, artifact):
+    @pytest.mark.parametrize(
+        "encoding, name, shown",
+        [("utf-8", b"p\xff", b"p\\udcff"), ("ascii", "\xe9".encode(), b"\\xe9")],
+        ids=["not-utf8-name", "ascii-stdout"],
+    )
+    def test_out_dir_stdout_cannot_encode_is_printed_escaped(
+        self, tmp_path, spike_export, command, artifact, encoding, name, shown
+    ):
         # A strict UTF-8 stdout cannot print the lone surrogate that the
-        # undecodable byte of a POSIX file name becomes.
+        # undecodable byte of a POSIX file name becomes; an ASCII stdout
+        # cannot print any non-ASCII name.
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=str(src))
         run = "from rpys.cli import entrypoint; entrypoint()"
 
         def rpys(out: bytes) -> subprocess.CompletedProcess:
             argv = [sys.executable, "-c", run, *command, "--input", spike_export, "--out", out]
             return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
 
-        plain, odd = rpys(b"q"), rpys(b"p\xff")
+        plain, odd = rpys(b"q"), rpys(name)
         assert (plain.returncode, plain.stderr) == (0, b"")
         assert (odd.returncode, odd.stderr) == (0, b"")
-        assert (tmp_path / os.fsdecode(b"p\xff") / artifact).is_file()
-        assert odd.stdout == plain.stdout.replace(b"q/", b"p\\udcff/")
+        assert (tmp_path / os.fsdecode(name) / artifact).is_file()
+        assert odd.stdout == plain.stdout.replace(b"q/", shown + b"/")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="closes a file descriptor in the child")
+    def test_closed_stdout_exits_cleanly(self, tmp_path, spike_export):
+        # With file descriptor 1 closed, sys.stdout is None.
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-c", "from rpys.cli import entrypoint; entrypoint()"]
+        run = subprocess.run(
+            [*argv, "stats", "--input", spike_export, "--out", "q"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert (tmp_path / "q" / "stats.csv").is_file()
 
     def test_shuffled_inputs_identical_artifacts(self, tmp_path):
         paths = []

@@ -469,7 +469,8 @@ class TestCitedReferenceDifferential:
         assert parse_cited_reference(line) == _two_pass_parse(line)
 
 
-# Strings of the common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>]":
+# Strings of the common shape
+# "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI <doi>]":
 # each slot is (its usual values, its near misses), and a string takes at
 # most one near miss, so every near miss is tried beside a shape that
 # would otherwise hold.  "-" stands for no author segment at all.
@@ -477,11 +478,12 @@ _near_text_st = st.text(st.sampled_from("AVPDOI19 ,.'-a*"), max_size=6)
 _CR_SLOTS = [
     ([""], st.sampled_from([" ", "  ", "\t", "\xa0"])),
     (
-        ["EINSTEIN A", "VAN FRAASSEN BC", "O'NEILL J", "HAVERFORD-SMITH E", "UNKNOWN", "A", "-"],
+        ["EINSTEIN A", "VAN FRAASSEN BC", "O'NEILL J", "HAVERFORD-SMITH E", "UNKNOWN", "A", "-",
+         "Kuhn TS", "van Fraassen BC", "Unknown", "v17"],
         st.one_of(
             st.sampled_from(
-                ["Kuhn TS", "[Anonymous]", "*US DEP ENERGY", "EINSTEIN  A", "EINSTEIN A.",
-                 "KUHN, T", "1905", "2100", "0999", "ÉMILE X", "1A B", ""]
+                ["[Anonymous]", "*US DEP ENERGY", "EINSTEIN  A", "EINSTEIN A.", "Kuhn T.S.",
+                 "KUHN, T", "1905", "2100", "0999", "ÉMILE X", "Émile X", "1A B", "ß", ""]
             ),
             _near_text_st,
         ),
@@ -510,6 +512,13 @@ _CR_SLOTS = [
     (
         ["", ", P891", ", PA1", ", P12A"],
         st.sampled_from([", P", ", P12 SUPPL", ", P-1", ", p12", ", P１", ", P12 ", ",  P12"]),
+    ),
+    (
+        ["", ", DOI 10.1/x", ", DOI 10.1002/andp.19053220607", ", DOI DOI", ", DOI V17 P1"],
+        st.sampled_from(
+            [", DOI ", ", DOI", ", DOI DOI 10.1/x", ", DOI  10.1/x", ", DOI 10.1/x ", ", doi 10.1/x",
+             ", DOI [10.1/x, 10.2/y]", ", DOI 10.1/é", ", DOI 10.1/x\xa0", ", DOI DOI DOI"]
+        ),
     ),
     (
         [""],
@@ -561,11 +570,31 @@ class TestCommonShape:
         + [
             f"EINSTEIN A, 1905, {source}{tail}"
             for source in ("V2 X", "V17", "P12", "PA1", "P12 SUPPL", "Vx", "P", "DOI 10.1/x")
-            for tail in ("", ", V17", ", P891")
+            for tail in ("", ", V17", ", P891", ", DOI 10.1/x")
+        ]
+        + [
+            f"EINSTEIN A, 1905, ANN PHYS, V17, P891, {doi}"
+            for doi in ("DOI ", "DOI DOI 10.1/x", "DOI  10.1/x", "DOI 10.1/x ", "DOI [10.1/x, 10.2/y]")
         ],
     )
     def test_near_miss_at_each_edge(self, line):
         assert parse_cited_reference(line) == _parse_segments(line)
+
+    @pytest.mark.parametrize(
+        "line, author, doi",
+        [
+            ("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891, DOI 10.1002/andp.19053220607",
+             "EINSTEIN A", "10.1002/andp.19053220607"),
+            ("Kuhn TS, 1962, STRUCTURE SCI REVOLU", "KUHN TS", None),
+            ("van Fraassen BC, 1980, SCI IMAGE, DOI 10.1/x", "VAN FRAASSEN BC", "10.1/x"),
+            ("Unknown, 1905, ANN PHYS", None, None),
+        ],
+    )
+    def test_doi_and_mixed_case_author_take_the_regex(self, line, author, doi):
+        assert _COMMON_CR.fullmatch(line)
+        ref = parse_cited_reference(line)
+        assert (ref.first_author, ref.doi) == (author, doi)
+        assert ref == _parse_segments(line)
 
     def test_demo_export_mostly_takes_the_regex(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
