@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, CorpusError, CorpusStats, build_corpus, corpus_stats
@@ -58,20 +57,6 @@ _FMT_BY_FLAG = {"tagged": TAGGED, "tsv": TAB_DELIMITED, "auto": "auto"}
 
 class CliError(Exception):
     """User-facing failure; message printed to stderr, exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one subcommand run needs, resolved from flags."""
-
-    inputs: list[str]
-    fmt: str = "auto"
-    journals: list[str] | None = None
-    year_range: tuple[int, int] | None = None
-    min_deviation: float = 0.0
-    top_k: int = 10
-    out_dir: Path | None = None
-    strict: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,15 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "stats", parents=[common], help="per-journal paper and cited-reference counts"
-    )
-    sub.add_parser("spectrum", parents=[common], help="write rpys.csv and median.csv")
-    sub.add_parser("peaks", parents=[common], help="write peaks.json, print ranked peaks")
+    ).set_defaults(run=cmd_stats)
+    sub.add_parser(
+        "spectrum", parents=[common], help="write rpys.csv and median.csv"
+    ).set_defaults(run=cmd_spectrum)
+    sub.add_parser(
+        "peaks", parents=[common], help="write peaks.json, print ranked peaks"
+    ).set_defaults(run=cmd_peaks)
     drill = sub.add_parser(
         "drill", parents=[common], help="author/work shares for one referenced year"
     )
     drill.add_argument("--year", type=int, required=True, help="referenced year to profile")
     drill.add_argument("--author", help="restrict to one first author's works")
-    sub.add_parser("plot", parents=[common], help="write spectrogram.svg")
+    drill.set_defaults(run=cmd_drill)
+    plot = sub.add_parser("plot", parents=[common], help="write spectrogram.svg")
+    plot.set_defaults(run=cmd_plot)
     return parser
 
 
@@ -151,29 +142,32 @@ def _parse_year_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = [p for p in (args.input or []) if p.strip()]
-    if not inputs:
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the flags (every exit-2 flag error) and normalize them in place.
+
+    Blank inputs are dropped, journals become a set of names, the range
+    ``(lo, hi)`` or None, and the format a ``load_export`` layout name.
+    """
+    args.input = [p for p in args.input if p.strip()]
+    if not args.input:
         raise CliError("at least one --input path is required")
     if args.top < 1:
         raise CliError("--top must be at least 1")
     if not math.isfinite(args.min_deviation) or args.min_deviation < 0:
         raise CliError("--min-deviation must be a finite non-negative number")
-    journals = None
     if args.journals is not None:
-        journals = [j.strip() for j in args.journals.split(",") if j.strip()]
-        if not journals:
+        args.journals = {j.strip() for j in args.journals.split(",") if j.strip()}
+        if not args.journals:
             raise CliError("--journals must name at least one source title")
-    return RunConfig(
-        inputs=inputs,
-        fmt=_FMT_BY_FLAG[args.format],
-        journals=journals,
-        year_range=_parse_year_range(args.year_range) if args.year_range else None,
-        min_deviation=args.min_deviation,
-        top_k=args.top,
-        out_dir=Path(args.out) if args.out else None,
-        strict=args.strict,
-    )
+    args.year_range = _parse_year_range(args.year_range) if args.year_range else None
+    args.format = _FMT_BY_FLAG[args.format]
+    author = getattr(args, "author", None)  # drill's flag
+    if author is not None and not author_token(author):
+        raise CliError(f"--author {author!r} has no name after normalization")
+    # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
+    if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
+        raise CliError(f"--author {author!r} is not valid text")
+    return args
 
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
@@ -199,21 +193,20 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return list(files.values())
 
 
-def _load_corpus(config: RunConfig) -> Corpus:
+def _load_corpus(args: argparse.Namespace) -> Corpus:
     records = []
     malformed = 0
-    for path in _expand_inputs(config.inputs):
+    for path in _expand_inputs(args.input):
         try:
-            recs, diag, _ = load_export(path, config.fmt, strict=config.strict)
+            recs, diag, _ = load_export(path, args.format, strict=args.strict)
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except (UnrecognizedFormatError, ExportParseError) as exc:
             raise CliError(f"{path}: {exc}") from exc
         records.extend(recs)
         malformed += diag.malformed_records
-    journal_filter = set(config.journals) if config.journals else None
     try:
-        corpus, corpus_diag = build_corpus(records, journal_filter, strict=config.strict)
+        corpus, corpus_diag = build_corpus(records, args.journals, strict=args.strict)
     except CorpusError as exc:
         raise CliError(str(exc)) from exc
     dropped = (
@@ -228,22 +221,22 @@ def _load_corpus(config: RunConfig) -> Corpus:
     return corpus
 
 
-def _analyze(config: RunConfig) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
+def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
     """Load, count, smooth and rank peaks.
 
     With no usable year the series is None and the peak list empty; the
     renderers turn that into header-only tables and a bare chart.
     """
-    spectrum = compute_spectrum(_load_corpus(config), config.year_range)
+    spectrum = compute_spectrum(_load_corpus(args), args.year_range)
     if spectrum.is_empty:
         print("no cited references with usable years")
         return spectrum, None, []
     series = median_deviation(spectrum)
-    return spectrum, series, detect_peaks(series, config.min_deviation, config.top_k)
+    return spectrum, series, detect_peaks(series, args.min_deviation, args.top)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = config.out_dir if config.out_dir is not None else Path(".")
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -309,20 +302,19 @@ def _slug(name: str) -> str:
     return slug or "author"
 
 
-def cmd_stats(config: RunConfig) -> int:
-    corpus = _load_corpus(config)
-    stats = corpus_stats(corpus)
+def cmd_stats(args: argparse.Namespace) -> int:
+    stats = corpus_stats(_load_corpus(args))
     print(_stats_table(stats))
-    if config.out_dir is not None:
-        path = _out_dir(config) / STATS_CSV
+    if args.out:
+        path = _out_dir(args) / STATS_CSV
         _write_text(path, _render_stats_csv(stats))
         print(f"wrote {path}")
     return EXIT_OK if stats.total_records else EXIT_EMPTY
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    spectrum, series, _ = _analyze(config)
-    out = _out_dir(config)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    spectrum, series, _ = _analyze(args)
+    out = _out_dir(args)
     _write_text(out / RPYS_CSV, render_rpys_csv(spectrum))
     _write_text(out / MEDIAN_CSV, render_median_csv(series))
     print(
@@ -334,9 +326,9 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
 
-def cmd_peaks(config: RunConfig) -> int:
-    _, series, peaks = _analyze(config)
-    out = _out_dir(config)
+def cmd_peaks(args: argparse.Namespace) -> int:
+    _, series, peaks = _analyze(args)
+    out = _out_dir(args)
     payload = [
         {
             "year": p.year,
@@ -349,7 +341,7 @@ def cmd_peaks(config: RunConfig) -> int:
     ]
     _write_json(out / PEAKS_JSON, payload)
     if not peaks:
-        print(f"no peaks above deviation {config.min_deviation}; wrote {out / PEAKS_JSON}")
+        print(f"no peaks above deviation {args.min_deviation}; wrote {out / PEAKS_JSON}")
         return EXIT_EMPTY
     print("rank  year  n_cr  median5  deviation")
     for p in peaks:
@@ -381,17 +373,13 @@ def _profile_payload(profile) -> dict:
     }
 
 
-def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
-    if author is not None and not author_token(author):
-        raise CliError(f"--author {author!r} has no name after normalization")
-    # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
-    if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
-        raise CliError(f"--author {author!r} is not valid text")
-    corpus = _load_corpus(config)
-    out = _out_dir(config)
+def cmd_drill(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
+    out = _out_dir(args)
+    year = args.year
 
-    if author is not None:
-        name = normalize_author(author)
+    if args.author is not None:
+        name = normalize_author(args.author)
         try:
             breakdown = author_breakdown(corpus, name, year)
         except ValueError as exc:
@@ -407,7 +395,7 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
         print(f"{name}, {year}: {breakdown.total_refs} cited references")
         _print_rows(payload["works"], "key")
     else:
-        profile = drill_year(corpus, year, config.top_k)
+        profile = drill_year(corpus, year, args.top)
         payload = _profile_payload(profile)
         path = out / f"profile_{year}.json"
         _write_json(path, payload)
@@ -423,29 +411,19 @@ def cmd_drill(config: RunConfig, year: int, author: str | None = None) -> int:
     return EXIT_OK if payload["total_refs"] else EXIT_EMPTY
 
 
-def cmd_plot(config: RunConfig) -> int:
-    spectrum, series, peaks = _analyze(config)
-    path = _out_dir(config) / SPECTROGRAM_SVG
+def cmd_plot(args: argparse.Namespace) -> int:
+    spectrum, series, peaks = _analyze(args)
+    path = _out_dir(args) / SPECTROGRAM_SVG
     _write_text(path, render_spectrogram(series, peaks))
     print(f"wrote {path} ({len(peaks)} peak years labeled)")
     return EXIT_OK if spectrum.total else EXIT_EMPTY
-
-
-# Subcommand -> handler(config, parsed args).
-_COMMANDS = {
-    "stats": lambda config, args: cmd_stats(config),
-    "spectrum": lambda config, args: cmd_spectrum(config),
-    "peaks": lambda config, args: cmd_peaks(config),
-    "drill": lambda config, args: cmd_drill(config, args.year, args.author),
-    "plot": lambda config, args: cmd_plot(config),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](config_from_args(args), args)
+        return args.run(_checked(args))
     except CliError as exc:
         print(f"rpys: {exc}", file=sys.stderr)
         return EXIT_ERROR

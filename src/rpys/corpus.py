@@ -151,9 +151,9 @@ def reference_key(cr: CitedReference) -> RefKey | None:
 
 
 def _surrogate_uid(record: RawRecord) -> str:
-    # Degraded exports may lack UT; the uid must still dedup identical
-    # records across files, so hash descriptive fields (never id()-like
-    # per-process state).
+    # Degraded exports may lack UT or leave it blank; the uid must still
+    # dedup identical records across files, so hash descriptive fields
+    # (never id()-like per-process state).
     basis = "\x1f".join(
         [
             record.joined("SO") or "",
@@ -193,7 +193,9 @@ def build_corpus(
     """Normalize parsed records into a deduplicated corpus.
 
     Deduplication is by uid, first occurrence wins, so merging input
-    batches in any order yields the same record set.  The journal
+    batches in any order yields the same record set.  The uid is the
+    ``UT`` value without surrounding whitespace, or a surrogate when
+    that is blank or absent.  The journal
     filter matches on the normalized source title.  Records lacking a
     publication year or source title are errors in strict mode and are
     excluded (and counted) otherwise.  Identical CR strings are parsed
@@ -207,7 +209,7 @@ def build_corpus(
     parsed = _ParsedRefs()
 
     for raw in records:
-        uid = raw.first("UT") or _surrogate_uid(raw)
+        uid = (raw.first("UT") or "").strip() or _surrogate_uid(raw)
         if uid in seen:
             diag.duplicates_skipped += 1
             continue

@@ -13,8 +13,9 @@ Two export layouts are supported:
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
 here into author / year / source / volume / page / DOI fields.  Parsing
-a cited reference never fails: lines that match nothing keep only their
-raw text.
+is total on any non-blank line: lines that match nothing keep only their
+raw text.  A blank line raises ``ValueError``; both export readers drop
+blank CR lines before they reach the parser.
 """
 
 from __future__ import annotations
@@ -297,7 +298,8 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     empty or a volume, page or DOI segment.  The first ``V<digit>...``,
     ``P<alphanumerics>`` and ``DOI ...`` among the other segments fill
     volume, page and doi; the rest are ignored.  Never raises on a
-    non-empty line, and the raw text is always preserved verbatim.
+    non-blank line (a blank one raises ``ValueError``), and the raw text
+    is always preserved verbatim.
 
     The common shape, ``[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI
     <doi>]`` in ASCII, is read by one regular expression.  Every other

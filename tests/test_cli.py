@@ -427,6 +427,44 @@ class TestFlagsAndErrors:
             argv = ["peaks", "--input", spike_export, f"--min-deviation={value}"]
             assert main(argv) == 2, value
 
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["spectrum"], ["peaks"], ["drill", "--year", "1905"], ["plot"]]
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--input", " "], "at least one --input path is required"),
+            (["--journals", " , "], "--journals must name at least one source title"),
+            (["--top", "0"], "--top must be at least 1"),
+            (["--min-deviation=-1"], "--min-deviation must be a finite non-negative number"),
+            (["--range", "1:2"], "invalid --range '1:2': years must lie within 1000:2100"),
+        ],
+        ids=["input", "journals", "top", "min-deviation", "range"],
+    )
+    def test_every_flag_check_exits_two(
+        self, spike_export, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "out"
+        inputs = [] if flags[0] == "--input" else ["--input", spike_export]
+        assert main([*command, *inputs, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"rpys: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "author, message",
+        [
+            (".", "--author '.' has no name after normalization"),
+            ("\udcff", "--author '\\udcff' is not valid text"),
+        ],
+        ids=["no-name", "surrogate"],
+    )
+    def test_drill_author_check_exits_two(self, spike_export, tmp_path, capsys, author, message):
+        out = tmp_path / "out"
+        argv = ["drill", "--input", spike_export, "--year", "1905", "--author", author]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"rpys: {message}\n")
+        assert not out.exists()
+
     def test_strict_mode_fails_on_malformed_block(self, tmp_path, capsys):
         text = "FN WoS\nVR 1.0\nPT J\nSO X\nPY 2000\nUT WOS:1\nEF\n"  # missing ER
         path = tmp_path / "trunc.txt"

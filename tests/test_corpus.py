@@ -14,6 +14,7 @@ from rpys import (
     CorpusError,
     RawRecord,
     Record,
+    TAB_DELIMITED,
     UNKNOWN_AUTHOR,
     build_corpus,
     corpus_stats,
@@ -242,6 +243,21 @@ class TestBuildCorpus:
         corpus, _ = build_corpus(_parse(blocks))
         assert len(corpus.records) == 2
         assert corpus.records[0].uid != corpus.records[1].uid
+
+    def test_blank_uid_gets_surrogate(self):
+        blocks = [citing_record("WOS:1", year=2010), citing_record("WOS:2", year=2011)]
+        for block in blocks:
+            block["UT"] = ["  "]
+        corpus, diag = build_corpus(_parse(blocks))
+        assert diag.duplicates_skipped == 0
+        assert [r.uid[:4] for r in corpus.records] == ["SYN:", "SYN:"]
+
+    def test_padded_uid_dedups_across_layouts(self):
+        tagged = _parse([citing_record("WOS:9  ")])
+        tsv, _ = parse_export("PT\tSO\tPY\tUT\nJ\tERKENNTNIS\t2010\tWOS:9\n", TAB_DELIMITED)
+        corpus, diag = build_corpus(tagged + tsv)
+        assert diag.duplicates_skipped == 1
+        assert [r.uid for r in corpus.records] == ["WOS:9"]
 
     def test_cited_ref_total_invariant_under_ordering(self):
         blocks = [
