@@ -2,10 +2,10 @@
 
 Artifacts (rpys.csv, median.csv, peaks.json, spectrogram.svg, per-year
 profile JSON) are byte-deterministic: no timestamps, fixed number
-formatting, LF line endings, and sorted input expansion, so reruns and
-shuffled input orders diff clean.  Exit codes: 0 success, 1 the run
-succeeded but produced an empty result (no records, no peaks, empty
-year), 2 usage or I/O errors.
+formatting, LF line endings, sorted input expansion.  Exit codes: 0
+success, 1 the run found nothing (no records, no peaks, empty year), 2 a
+bad flag (checked before loading; drill's --author UNKNOWN too) or an I/O
+failure on any file or on stdout: one ``rpys:`` stderr line, no traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import glob
 import io
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .spectrum import (
     median_deviation,
 )
 from .svgplot import render_spectrogram
-from .textnorm import author_token, normalize_author
+from .textnorm import UNKNOWN_AUTHOR, author_token, normalize_author
 from .wos import (
     MAX_RPY,
     MIN_RPY,
@@ -167,6 +168,8 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
     if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
         raise CliError(f"--author {author!r} is not valid text")
+    if author is not None and normalize_author(author) == UNKNOWN_AUTHOR:
+        raise CliError("cannot break down the unattributed bucket by work")
     return args
 
 
@@ -199,16 +202,11 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     for path in _expand_inputs(args.input):
         try:
             recs, diag, _ = load_export(path, args.format, strict=args.strict)
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        except (UnrecognizedFormatError, ExportParseError) as exc:
-            raise CliError(f"{path}: {exc}") from exc
+        except (OSError, UnrecognizedFormatError, ExportParseError) as exc:  # none names the file
+            raise CliError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
         records.extend(recs)
         malformed += diag.malformed_records
-    try:
-        corpus, corpus_diag = build_corpus(records, args.journals, strict=args.strict)
-    except CorpusError as exc:
-        raise CliError(str(exc)) from exc
+    corpus, corpus_diag = build_corpus(records, args.journals, strict=args.strict)
     dropped = (
         (malformed, "skipped {} malformed record block(s)"),
         (corpus_diag.duplicates_skipped, "skipped {} duplicate record(s)"),
@@ -237,19 +235,15 @@ def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out or ".")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:  # a failed write() does not name the file
+        raise CliError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: Path, payload) -> None:
@@ -380,10 +374,7 @@ def cmd_drill(args: argparse.Namespace) -> int:
 
     if args.author is not None:
         name = normalize_author(args.author)
-        try:
-            breakdown = author_breakdown(corpus, name, year)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        breakdown = author_breakdown(corpus, name, year)
         payload = {
             "author": breakdown.author,
             "year": breakdown.year,
@@ -420,13 +411,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.run(_checked(args))
-    except CliError as exc:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.run(_checked(args))
+        finally:
+            print(end="", flush=True)  # a stdout that cannot take the output fails here
+    except (CliError, CorpusError) as exc:
         print(f"rpys: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except OSError as exc:  # one that names no file came from stdout
+        print(f"rpys: {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def entrypoint() -> None:
@@ -434,7 +429,11 @@ def entrypoint() -> None:
     # ASCII stream, or lone surrogates from file names that are not UTF-8).
     if sys.stdout is not None:
         sys.stdout.reconfigure(errors="backslashreplace")
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    if code == EXIT_ERROR and sys.stdout is not None:
+        # Else the exit-time flush of what stdout refused fails again (exit 120).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

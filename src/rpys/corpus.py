@@ -153,12 +153,13 @@ def reference_key(cr: CitedReference) -> RefKey | None:
 def _surrogate_uid(record: RawRecord) -> str:
     # Degraded exports may lack UT or leave it blank; the uid must still
     # dedup identical records across files, so hash descriptive fields
-    # (never id()-like per-process state).
+    # (never id()-like per-process state), stripped as the TSV reader
+    # strips its cells.
     basis = "\x1f".join(
         [
             record.joined("SO") or "",
-            record.first("PY") or "",
-            record.first("AU") or "",
+            (record.first("PY") or "").strip(),
+            (record.first("AU") or "").strip(),
             record.joined("TI") or "",
         ]
     )

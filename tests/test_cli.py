@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -15,6 +16,15 @@ from hypothesis import strategies as st
 from rpys.cli import main
 
 from conftest import citing_record, tagged_export
+
+
+_SUBCOMMANDS = {
+    "stats": ["stats"],
+    "spectrum": ["spectrum"],
+    "peaks": ["peaks"],
+    "drill": ["drill", "--year", "1904"],
+    "plot": ["plot"],
+}
 
 
 def lines_for_counts(counts_by_year: dict[int, int]) -> list[str]:
@@ -455,8 +465,10 @@ class TestFlagsAndErrors:
         [
             (".", "--author '.' has no name after normalization"),
             ("\udcff", "--author '\\udcff' is not valid text"),
+            ("UNKNOWN", "cannot break down the unattributed bucket by work"),
+            (" unknown. ", "cannot break down the unattributed bucket by work"),
         ],
-        ids=["no-name", "surrogate"],
+        ids=["no-name", "surrogate", "unknown", "padded-unknown"],
     )
     def test_drill_author_check_exits_two(self, spike_export, tmp_path, capsys, author, message):
         out = tmp_path / "out"
@@ -545,6 +557,76 @@ class TestFlagsAndErrors:
         assert (run.returncode, run.stderr) == (0, b"")
         assert (tmp_path / "q" / "stats.csv").is_file()
 
+    @pytest.mark.parametrize(
+        "sink, reason",
+        [
+            ("closed-pipe", errno.EPIPE),
+            pytest.param(
+                "/dev/full",
+                errno.ENOSPC,
+                marks=pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/full"),
+            ),
+        ],
+        ids=["closed-pipe", "dev-full"],
+    )
+    @pytest.mark.parametrize(
+        "command, buffered",
+        [
+            *((cmd, buffered) for cmd in _SUBCOMMANDS.values() for buffered in (True, False)),
+            # Unbuffered, --help fails inside argparse's write, which drops the error.
+            (["--help"], True),
+        ],
+        ids=[*(f"{n}-{b}" for n in _SUBCOMMANDS for b in ("buffered", "unbuffered")), "help"],
+    )
+    def test_stdout_that_fails_exits_two(
+        self, tmp_path, spike_export, command, sink, reason, buffered
+    ):
+        # A pipe whose reader is gone before the run starts (what `| head`
+        # does at some point), or a device that takes no bytes.  Buffered,
+        # the output fails when main flushes it; unbuffered, at its print.
+        if sink == "closed-pipe":
+            read_end, fd = os.pipe()
+            os.close(read_end)
+        else:
+            fd = os.open(sink, os.O_WRONLY)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(src), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        argv = [sys.executable, "-c", "from rpys.cli import entrypoint; entrypoint()", *command]
+        if command != ["--help"]:
+            argv += ["--input", spike_export, "--out", "q"]
+        try:
+            run = subprocess.run(argv, cwd=tmp_path, env=env, stdout=fd, stderr=subprocess.PIPE)
+        finally:
+            os.close(fd)
+        assert b"Traceback" not in run.stderr
+        expected = f"rpys: stdout: {os.strerror(reason)}\n"
+        assert (run.returncode, run.stderr.decode()) == (2, expected)
+
+    @pytest.mark.parametrize("flag", ["--input", "--out"])
+    def test_overlong_path_exits_two(self, tmp_path, spike_export, capsys, flag):
+        # 5,000 bytes: more than a file name (255) or a whole path (4,096) may hold.
+        overlong = str(tmp_path / ("n" * 5000))
+        argv = ["spectrum", "--input", spike_export, "--out", str(tmp_path / "out")]
+        argv[argv.index(flag) + 1] = overlong
+        assert main(argv) == 2
+        reason = os.strerror(errno.ENAMETOOLONG)
+        assert capsys.readouterr() == ("", f"rpys: {overlong}: {reason}\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc and /dev/full")
+    def test_failed_read_or_write_names_the_file(self, tmp_path, spike_export, capsys):
+        # The OSError of a failed read() or write() names no file: reading
+        # /proc/self/mem from offset 0 fails, and so does writing /dev/full.
+        assert main(["stats", "--input", "/proc/self/mem"]) == 2
+        reason = os.strerror(errno.EIO)
+        assert capsys.readouterr() == ("", f"rpys: /proc/self/mem: {reason}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "rpys.csv").symlink_to("/dev/full")
+        assert main(["spectrum", "--input", spike_export, "--out", str(out)]) == 2
+        reason = os.strerror(errno.ENOSPC)
+        assert capsys.readouterr() == ("", f"rpys: {out / 'rpys.csv'}: {reason}\n")
+
     def test_shuffled_inputs_identical_artifacts(self, tmp_path):
         paths = []
         for i, year in enumerate((1950, 1905, 1962)):
@@ -611,6 +693,19 @@ _cr_texts = st.one_of(
     ).map(", ".join),
     st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=30),
 )
+# Path components as POSIX argv bytes decode, without NUL, "/", "." or ".."
+# (so every name stays under the test's directory), and one longer than a
+# file name may be.
+_path_parts = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=8)
+        .filter(lambda b: b"\0" not in b and b"/" not in b and b not in (b".", b".."))
+        .map(os.fsdecode),
+        st.integers(256, 300).map(lambda n: "n" * n),
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
 @settings(
@@ -630,9 +725,11 @@ _cr_texts = st.one_of(
         st.text(max_size=12),
         st.binary(min_size=1, max_size=12).map(os.fsdecode),  # argv bytes, maybe not UTF-8
     ),
+    input_parts=st.one_of(st.none(), _path_parts),
+    out_parts=st.one_of(st.none(), _path_parts),
 )
 def test_generated_exports_only_return_exit_codes(
-    tmp_path, command, layout, pub_year, crs, strict, author
+    tmp_path, command, layout, pub_year, crs, strict, author, input_parts, out_parts
 ):
     path = tmp_path / "gen.txt"
     if layout == "tagged":
@@ -644,7 +741,9 @@ def test_generated_exports_only_return_exit_codes(
             f"PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t{pub_year}\t{'; '.join(crs)}\tWOS:1\n",
             encoding="utf-8",
         )
-    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    export = path if input_parts is None else tmp_path.joinpath(*input_parts)
+    out = tmp_path / "out" if out_parts is None else tmp_path.joinpath(*out_parts)
+    argv = [command, "--input", str(export), "--out", str(out)]
     if command == "drill":
         argv += ["--year", "1905"]
         if author is not None:

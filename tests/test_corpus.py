@@ -259,6 +259,20 @@ class TestBuildCorpus:
         assert diag.duplicates_skipped == 1
         assert [r.uid for r in corpus.records] == ["WOS:9"]
 
+    def test_padded_surrogate_fields_dedup_across_layouts(self):
+        # The TSV reader strips its cells; tagged values keep their padding.
+        block = citing_record("WOS:9")
+        del block["UT"]
+        block["AU"], block["PY"] = ["Smith, J  "], ["2010 "]
+        tagged = _parse([block])
+        tsv, _ = parse_export(
+            "PT\tAU\tTI\tSO\tPY\nJ\tSmith, J\tCiting paper WOS:9\tERKENNTNIS\t2010\n",
+            TAB_DELIMITED,
+        )
+        corpus, diag = build_corpus(tagged + tsv)
+        assert diag.duplicates_skipped == 1
+        assert [r.uid[:4] for r in corpus.records] == ["SYN:"]
+
     def test_cited_ref_total_invariant_under_ordering(self):
         blocks = [
             citing_record("WOS:1", crs=["A B, 2000, X", "C D, 2001, Y"]),
