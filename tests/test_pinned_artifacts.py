@@ -1,0 +1,113 @@
+"""Pinned artifact bytes: every output of fixed sessions, by sha256.
+
+Each session runs in a fresh directory with relative paths, so its
+stdout and stderr are as stable as its files.  The demo sessions are
+``scripts/demo_pipeline.py --records N`` at seed 42.  The fixture
+sessions run every subcommand over one checked-in export per layout:
+duplicates, a journal filter, a malformed block, a Latin-1 line, a
+year-less reference, out-of-range years and a ``drill --author``
+breakdown.  A refactor leaves every digest unchanged; a change that
+alters an artifact on purpose says why in CHANGES.md and re-pins with
+``PYTHONPATH=src python tests/test_pinned_artifacts.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rpys.cli import main
+
+TESTS = Path(__file__).resolve().parent
+FIXTURES = TESTS / "fixtures"
+PINNED = TESTS / "pinned_digests.json"
+
+_FIXTURE_COMMANDS = [
+    ["stats"],
+    ["spectrum"],
+    ["peaks", "--top", "5"],
+    ["drill", "--year", "1905", "--top", "5"],
+    ["drill", "--year", "1905", "--author", "Einstein, A."],
+    ["plot", "--top", "5"],
+]
+
+
+def _demo_session(records: int):
+    def session() -> None:
+        sys.path.insert(0, str(TESTS.parent / "scripts"))
+        try:
+            import demo_pipeline
+        finally:
+            sys.path.pop(0)
+        argv = ["demo_pipeline.py", "--seed", "42", "--records", str(records), "--out", "out"]
+        saved, sys.argv = sys.argv, argv
+        try:
+            demo_pipeline.main()
+        finally:
+            sys.argv = saved
+
+    return session
+
+
+def _fixture_session(name: str):
+    def session() -> None:
+        shutil.copyfile(FIXTURES / name, name)
+        base = ["--input", name, "--out", "out", "--journals", "ERKENNTNIS,SYNTHESE"]
+        codes = [main([*command, *base]) for command in _FIXTURE_COMMANDS]
+        print(f"exit codes {codes}")
+
+    return session
+
+
+SESSIONS = {
+    "demo-150": _demo_session(150),
+    "demo-400": _demo_session(400),
+    "tagged": _fixture_session("pinned_tagged.txt"),
+    "tsv": _fixture_session("pinned_table.txt"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def session_digests(name: str) -> dict[str, str]:
+    """sha256 of each file the session writes under out/, and of its stdout/stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                SESSIONS[name]()
+        finally:
+            os.chdir(cwd)
+        out = Path(tmp) / "out"
+        digests = {
+            path.relative_to(out).as_posix(): _sha256(path.read_bytes())
+            for path in sorted(out.rglob("*"))
+        }
+    digests["stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
+    digests["stderr"] = _sha256(stderr.getvalue().encode("utf-8"))
+    return digests
+
+
+@pytest.mark.parametrize("name", list(SESSIONS))
+def test_artifacts_match_pinned_digests(name):
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))[name]
+    assert session_digests(name) == pinned
+
+
+if __name__ == "__main__":
+    digests = {name: session_digests(name) for name in SESSIONS}
+    PINNED.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {PINNED}")
