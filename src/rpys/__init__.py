@@ -49,8 +49,6 @@ from .wos import (
     load_export,
     parse_cited_reference,
     parse_export,
-    serialize_export,
-    serialize_record,
 )
 
 __version__ = "0.1.0"
@@ -69,8 +67,6 @@ __all__ = [
     "detect_format",
     "parse_export",
     "parse_cited_reference",
-    "serialize_record",
-    "serialize_export",
     "load_export",
     "Record",
     "RefKey",

@@ -11,6 +11,7 @@ failure on any file or on stdout: one ``rpys:`` stderr line, no traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob
 import io
@@ -196,6 +197,15 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return list(files.values())
 
 
+def _warn(message: str) -> None:
+    """One ``rpys:`` line on stderr, dropped when stderr cannot take it."""
+    # With file descriptor 2 closed, sys.stderr is None and print would
+    # fall back to stdout.  The exit code still tells the outcome.
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(f"rpys: {message}", file=sys.stderr)
+
+
 def _load_corpus(args: argparse.Namespace) -> Corpus:
     records = []
     malformed = 0
@@ -215,7 +225,7 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     )
     issues = [message.format(count) for count, message in dropped if count]
     if issues:
-        print("rpys: " + "; ".join(issues), file=sys.stderr)
+        _warn("; ".join(issues))
     return corpus
 
 
@@ -418,9 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             print(end="", flush=True)  # a stdout that cannot take the output fails here
     except (CliError, CorpusError) as exc:
-        print(f"rpys: {exc}", file=sys.stderr)
+        _warn(str(exc))
     except OSError as exc:  # one that names no file came from stdout
-        print(f"rpys: {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        _warn(f"{exc.filename or 'stdout'}: {exc.strerror or exc}")
     return EXIT_ERROR
 
 

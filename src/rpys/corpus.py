@@ -11,13 +11,13 @@ first author only, because that is all the WoS CR string carries.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .textnorm import UNKNOWN_AUTHOR, key_token, normalize_author
-from .wos import CitedReference, RawRecord, parse_cited_reference
+from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
 
 __all__ = [
     "Record",
@@ -40,12 +40,12 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Record:
-    """One citing paper with its parsed reference list."""
+    """One citing paper with its cited-reference strings, as exported."""
 
     uid: str
     journal: str
     pub_year: int
-    cited_refs: tuple[CitedReference, ...]
+    cited_refs: tuple[str, ...]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -101,25 +101,47 @@ class CorpusDiagnostics:
     excluded_by_filter: int = 0
 
 
+class _ParsedRefs(dict):
+    """Raw CR string -> its CitedReference, parsed on first lookup only."""
+
+    def __missing__(self, line: str) -> CitedReference:
+        ref = self[line] = parse_cited_reference(line)
+        return ref
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Deduplicated citing records, ready for spectrum queries."""
 
     records: tuple[Record, ...]
 
-    def iter_refs(self):
+    @cached_property
+    def parsed(self) -> dict[str, CitedReference]:
+        """Each CR string's :class:`CitedReference`, parsed on first lookup.
+
+        Equal strings share one object, and none is parsed twice per corpus.
+        """
+        return _ParsedRefs()
+
+    def _lines(self):
         return chain.from_iterable(record.cited_refs for record in self.records)
 
-    @cached_property
-    def by_year(self) -> dict[int | None, list[CitedReference]]:
-        """Each referenced year's cited references; ``None`` files the year-less.
+    def iter_refs(self):
+        """Every record's cited references, in order, parsed through :attr:`parsed`."""
+        return map(self.parsed.__getitem__, self._lines())
 
-        The one grouping of references by year: the spectrum counts these
-        lists and every drill reads one.  Built by one pass on first use.
+    @cached_property
+    def by_year(self) -> dict[int | None, Counter[str]]:
+        """Each referenced year's CR strings, counted; ``None`` files the year-less.
+
+        The one grouping of references by year: the spectrum sums these
+        counters and every drill reads one.  Built on first use by one pass
+        that reads only the year of each distinct string.
         """
-        index: defaultdict[int | None, list[CitedReference]] = defaultdict(list)
-        for ref in self.iter_refs():
-            index[ref.year].append(ref)
+        lines = Counter(self._lines())
+        index: defaultdict[int | None, Counter[str]] = defaultdict(Counter)
+        for line, n in lines.items():
+            index[cited_year(line)][line] = n
         return dict(index)
 
     @property
@@ -178,14 +200,6 @@ def _pub_year(record: RawRecord) -> int | None:
     return int(raw)
 
 
-class _ParsedRefs(dict):
-    """Raw CR string -> its CitedReference, parsed on first lookup only."""
-
-    def __missing__(self, line: str) -> CitedReference:
-        ref = self[line] = parse_cited_reference(line)
-        return ref
-
-
 def build_corpus(
     records: list[RawRecord],
     journal_filter: set[str] | None = None,
@@ -199,15 +213,13 @@ def build_corpus(
     that is blank or absent.  The journal
     filter matches on the normalized source title.  Records lacking a
     publication year or source title are errors in strict mode and are
-    excluded (and counted) otherwise.  Identical CR strings are parsed
-    once per call and share one frozen :class:`CitedReference`; the
-    cache lives only for this call.
+    excluded (and counted) otherwise.  Records keep their CR strings
+    verbatim; nothing is parsed here.
     """
     diag = CorpusDiagnostics(records_in=len(records))
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen: set[str] = set()
     kept: list[Record] = []
-    parsed = _ParsedRefs()
 
     for raw in records:
         uid = (raw.first("UT") or "").strip() or _surrogate_uid(raw)
@@ -228,7 +240,7 @@ def build_corpus(
             diag.excluded_by_filter += 1
             continue
 
-        refs = tuple(map(parsed.__getitem__, raw.get("CR")))
+        refs = tuple(raw.get("CR"))
         kept.append(Record(uid=uid, journal=journal, pub_year=pub_year, cited_refs=refs))
 
     diag.records_kept = len(kept)

@@ -91,13 +91,13 @@ def _ranked(counts: Counter, top_k: int | None = None) -> list:
 
 
 def _year_tally(corpus: Corpus, year: int) -> Counter:
-    """References to ``year`` counted per distinct object.
+    """References to ``year`` counted per distinct CR string.
 
-    Records citing one CR string share one object, so each distinct
-    reference is keyed once per query; equal but distinct objects (a
-    hand-built corpus) hash equal and still land in one entry.
+    Each string is parsed once per corpus, on the first drill of its
+    year, and keyed once per query.
     """
-    return Counter(corpus.by_year.get(year, ()))
+    parsed = corpus.parsed
+    return Counter({parsed[line]: n for line, n in corpus.by_year.get(year, {}).items()})
 
 
 def _work_rows(tally: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:

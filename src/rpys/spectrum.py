@@ -113,10 +113,10 @@ def compute_spectrum(
         lo, hi = DEFAULT_MIN_RPY, newest if newest is not None else MAX_RPY
 
     by_year = corpus.by_year
-    without_year = len(by_year.get(None, ()))
+    without_year = by_year[None].total() if None in by_year else 0
     counter = {
-        year: len(refs)
-        for year, refs in by_year.items()
+        year: lines.total()
+        for year, lines in by_year.items()
         if year is not None and lo <= year <= hi
     }
     dropped = corpus.total_cited_refs - without_year - sum(counter.values())

@@ -1,4 +1,4 @@
-"""Readers and writers for Web of Science plain-text exports.
+"""Readers for Web of Science plain-text exports.
 
 Two export layouts are supported:
 
@@ -44,36 +44,6 @@ _Defect = Callable[[int, str], None]
 # it is not read as a year.
 MIN_RPY = 1000
 MAX_RPY = 2100
-# A DOI segment's value follows its (sometimes repeated) "DOI " prefixes.
-_DOI_PREFIXES = re.compile(r"^(?:DOI )+")
-# The common shape "[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI <doi>]",
-# ASCII only, on which the segment walk provably gives the same fields: an
-# author, if any, of letters, digits, "'" and "-" with single inner spaces
-# (normalize_author only upper-cases it, and it is no year), four digits
-# that parse_cited_reference still checks against MIN_RPY..MAX_RPY, a
-# source that is no volume, page or DOI segment, a DOI without a repeated
-# prefix, and no segment with a comma or an outer space.
-_CR_AUTHOR = r"[A-Za-z][A-Za-z0-9'-]*(?: [A-Za-z0-9'-]+)*"
-_CR_CHAR = r"[!-+\--~]"  # printable ASCII but space and comma
-_CR_TEXT = rf"{_CR_CHAR}+(?: +{_CR_CHAR}+)*"  # runs of them, spaces between
-
-
-def _segment(name: str, pattern: str) -> str:
-    # A named group that a failed match never backtracks into (an atomic
-    # group, which re lacks before Python 3.11): a lookahead captures it and
-    # a backreference consumes it.  No segment holds a comma, so giving
-    # characters back could not let the next ", " match.
-    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
-
-
-_COMMON_CR = re.compile(
-    f"(?:{_segment('author', _CR_AUTHOR)}, )?"
-    r"(?P<year>[0-9]{4}), "
-    rf"(?!V[0-9]|P[A-Za-z0-9]+(?:,|\Z)|DOI ){_segment('source', _CR_TEXT)}"
-    f"(?:, V{_segment('volume', '[0-9]' + _CR_CHAR + '*')})?"
-    f"(?:, P{_segment('page', '[A-Za-z0-9]+')})?"
-    f"(?:, DOI (?!DOI ){_segment('doi', _CR_TEXT)})?"
-)
 
 
 class UnrecognizedFormatError(ValueError):
@@ -288,8 +258,21 @@ def _is_rpy(segment: str) -> bool:
     )
 
 
+def cited_year(cr_line: str) -> int | None:
+    """The year :func:`parse_cited_reference` reads, without the other fields.
+
+    >>> cited_year("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891"), cited_year("HUME D, X")
+    (1905, None)
+    """
+    for seg in cr_line.strip().split(", "):
+        seg = seg.strip()
+        if _is_rpy(seg):
+            return int(seg)
+    return None
+
+
 def parse_cited_reference(cr_line: str) -> CitedReference:
-    """Parse one cited-reference string into its fields.
+    """Parse one cited-reference string into its fields, in one pass.
 
     The line is split on ``", "`` and each segment stripped.  The first
     segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year.
@@ -301,12 +284,6 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     non-blank line (a blank one raises ``ValueError``), and the raw text
     is always preserved verbatim.
 
-    The common shape, ``[AUTHOR, ]YYYY, SOURCE[, V<vol>][, P<page>][, DOI
-    <doi>]`` in ASCII, is read by one regular expression.  Every other
-    string goes to the segment walk (``_parse_segments``), which is the
-    rule above; the regular expression accepts only strings on which the
-    two agree, so the rule is the same for both.
-
     >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
     >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
     ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
@@ -316,26 +293,7 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
     >>> ref.first_author, ref.year, ref.source
     (None, 1923, 'RELATIVITY THEORY')
-    >>> ref = parse_cited_reference("[Anonymous], 1905, X")  # the segment walk
-    >>> ref.first_author, ref.year, ref.source
-    ('[ANONYMOUS]', 1905, 'X')
     """
-    match = _COMMON_CR.fullmatch(cr_line)
-    if match is None:
-        return _parse_segments(cr_line)
-    author, year, source, volume, page, doi = match.groups()
-    year = int(year)
-    if not MIN_RPY <= year <= MAX_RPY:
-        return _parse_segments(cr_line)
-    if author is not None:
-        author = author.upper()
-    return CitedReference(
-        cr_line, None if author == UNKNOWN_AUTHOR else author, year, source, volume, page, doi
-    )
-
-
-def _parse_segments(cr_line: str) -> CitedReference:
-    """The rule of :func:`parse_cited_reference`: one pass over the segments."""
     stripped = cr_line.strip()
     if not stripped:
         raise ValueError("cited-reference line is empty")
@@ -351,7 +309,9 @@ def _parse_segments(cr_line: str) -> CitedReference:
         elif seg[:1] == "P" and seg[1:].isalnum():
             page = page or seg[1:]
         elif seg.startswith("DOI "):
-            doi = doi or _DOI_PREFIXES.sub("", seg).strip()
+            while seg.startswith("DOI "):  # the prefix is sometimes repeated
+                seg = seg[4:]
+            doi = doi or seg.strip()
         elif seg and idx - 1 == year_idx:
             source = seg
     return CitedReference(
@@ -363,23 +323,6 @@ def _parse_segments(cr_line: str) -> CitedReference:
         page=page,
         doi=doi,
     )
-
-
-def serialize_record(record: RawRecord) -> str:
-    """Render one record in tagged format, terminated by ``ER``."""
-    parts: list[str] = []
-    for tag, values in record.tags.items():
-        vals = values or [""]
-        parts.append(f"{tag} {vals[0]}")
-        parts.extend("   " + v for v in vals[1:])
-    parts.append("ER")
-    return "\n".join(parts) + "\n"
-
-
-def serialize_export(records: list[RawRecord]) -> str:
-    """Render a whole tagged export file (FN/VR header, records, EF)."""
-    blocks = "\n".join(serialize_record(r) for r in records)
-    return "FN RPYS tagged export\nVR 1.0\n" + blocks + "EF\n"
 
 
 def decode_export_bytes(data: bytes) -> str:

@@ -13,6 +13,7 @@ import json
 import random
 import statistics
 import time
+from collections import Counter
 from fractions import Fraction
 
 from rpys import (
@@ -25,7 +26,6 @@ from rpys import (
     median_deviation,
     parse_cited_reference,
     parse_export,
-    serialize_export,
 )
 from rpys.cli import main
 from rpys.spectrum import DeviationSeries
@@ -50,11 +50,11 @@ def test_c1_parser_fixture_and_round_trip():
     assert len(records) == 2
     assert diag.records_parsed == 2
     assert diag.malformed_records == 1
-    text = serialize_export(records)
+    text = tagged_export([r.tags for r in records])
     reparsed, rediag = parse_export(text)
     assert reparsed == records
     assert rediag.malformed_records == 0
-    assert serialize_export(reparsed) == text
+    assert tagged_export([r.tags for r in reparsed]) == text
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"C1 parser fixture + round-trip: PASS ({elapsed:.3f}s < 1s)")
@@ -286,10 +286,12 @@ def test_c7_conservation_over_random_corpora():
         assert spectrum.without_year == sum(
             1 for ref in corpus.iter_refs() if ref.year is None
         )
-        # The year index partitions the references: each under its own year.
-        for year, refs in corpus.by_year.items():
-            assert all(ref.year == year for ref in refs)
-        assert sum(map(len, corpus.by_year.values())) == corpus.total_cited_refs
+        # The year index partitions the references: each string under its
+        # own year, each counted as often as the records cite it.
+        for year, lines in corpus.by_year.items():
+            assert all(parse_cited_reference(line).year == year for line in lines)
+        assert sum(c.total() for c in corpus.by_year.values()) == corpus.total_cited_refs
+        assert corpus.by_year.get(None, Counter()).total() == spectrum.without_year
 
         nonzero_years = [y for y in spectrum.years() if spectrum.count_at(y)]
         for year in nonzero_years:

@@ -603,6 +603,42 @@ class TestFlagsAndErrors:
         expected = f"rpys: stdout: {os.strerror(reason)}\n"
         assert (run.returncode, run.stderr.decode()) == (2, expected)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "sink, mode",
+        [("/dev/full", os.O_WRONLY), (os.devnull, os.O_RDONLY), ("closed", None)],
+        ids=["full", "read-only", "closed"],
+    )
+    @pytest.mark.parametrize(
+        "source, code", [("missing", 2), ("py-less", 0)], ids=["failed-run", "healthy-run"]
+    )
+    def test_stderr_that_fails_keeps_the_exit_code(self, tmp_path, sink, mode, source, code):
+        # A diagnostic that cannot be written is dropped; the exit code still
+        # tells the outcome (exit 1 would claim the run found nothing).  Under
+        # `2>&-` file descriptor 2 is closed, so sys.stderr is None, or it is
+        # reused by the next file opened for reading, which refuses writes.
+        blocks = [citing_record("WOS:1", crs=["A B, 1905, X"]), citing_record("WOS:2")]
+        del blocks[1]["PY"]
+        write_export(tmp_path / "py-less", blocks)
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-c", "from rpys.cli import entrypoint; entrypoint()"]
+        fd = os.open(sink, mode) if mode is not None else None
+        try:
+            run = subprocess.run(
+                [*argv, "stats", "--input", source],
+                cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                stdout=subprocess.PIPE,
+                stderr=fd,
+                preexec_fn=(lambda: os.close(2)) if fd is None else None,
+            )
+        finally:
+            if fd is not None:
+                os.close(fd)
+        assert run.returncode == code
+        assert (b"Total" in run.stdout) == (code == 0)
+        assert b"rpys:" not in run.stdout
+
     @pytest.mark.parametrize("flag", ["--input", "--out"])
     def test_overlong_path_exits_two(self, tmp_path, spike_export, capsys, flag):
         # 5,000 bytes: more than a file name (255) or a whole path (4,096) may hold.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +15,21 @@ from rpys import (
     Corpus,
     CorpusDiagnostics,
     CorpusError,
+    Peak,
     RawRecord,
     Record,
     TAB_DELIMITED,
     UNKNOWN_AUTHOR,
+    author_breakdown,
     build_corpus,
+    compute_spectrum,
     corpus_stats,
+    drill_year,
     load_export,
     normalize_author,
     parse_cited_reference,
     parse_export,
+    profile_all_peaks,
     reference_key,
 )
 
@@ -138,8 +146,8 @@ def _reused_cr_records_st(draw):
     return records
 
 
-def _build_parsing_every_line(records, journal_filter):
-    """Reference build_corpus for UT-bearing records: one parse per CR line."""
+def _reference_build(records, journal_filter):
+    """Reference build_corpus for UT-bearing records, written out longhand."""
     diag = CorpusDiagnostics(records_in=len(records))
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen, kept = set(), []
@@ -156,8 +164,7 @@ def _build_parsing_every_line(records, journal_filter):
         elif wanted is not None and key_token(journal) not in wanted:
             diag.excluded_by_filter += 1
         else:
-            refs = tuple(parse_cited_reference(line) for line in raw.get("CR"))
-            kept.append(Record(uid, journal, pub_year, refs))
+            kept.append(Record(uid, journal, pub_year, tuple(raw.get("CR"))))
     diag.records_kept = len(kept)
     return Corpus(tuple(kept)), diag
 
@@ -282,7 +289,7 @@ class TestBuildCorpus:
         backward, _ = build_corpus(_parse(blocks[::-1]))
         assert forward.total_cited_refs == backward.total_cited_refs == 3
 
-    def test_each_distinct_cr_string_parsed_once(self, tmp_path, parse_calls):
+    def test_build_stats_and_spectrum_parse_nothing(self, tmp_path, parse_calls):
         crs = ["A B, 1950, X", "HUME D, TREATISE", "A B, 1950, X"]
         skipped = {  # uid, journal, PY: a duplicate, a filtered and a PY-less record
             "DUP C, 1960, Y": ("WOS:1", "ERKENNTNIS", "2010"),
@@ -302,35 +309,56 @@ class TestBuildCorpus:
         tsv = tmp_path / "table.txt"
         tsv.write_text("PT\tSO\tPY\tCR\tUT\n" + "\n".join(rows) + "\n", encoding="utf-8")
         for path in (tagged, tsv):
-            parse_calls.clear()
             records, diag, _ = load_export(path)
             corpus, corpus_diag = build_corpus(records, journal_filter={"ERKENNTNIS"})
             assert diag.cr_lines_parsed == len(crs) + len(skipped)
             assert (corpus_diag.duplicates_skipped, corpus_diag.excluded_by_filter) == (1, 1)
             assert corpus_diag.excluded_missing_fields == 1
-            assert parse_calls == ["A B, 1950, X", "HUME D, TREATISE"]
+            assert corpus_stats(corpus).total_cited_refs == 3
+            spectrum = compute_spectrum(corpus)
+            assert (spectrum.total, spectrum.without_year) == (2, 1)
+            assert corpus.by_year == {
+                1950: Counter({"A B, 1950, X": 2}),
+                None: Counter({"HUME D, TREATISE": 1}),
+            }
             [record] = corpus.records
-            assert record.cited_refs[0] is record.cited_refs[2]
+            assert record.cited_refs == tuple(crs)
+        assert parse_calls == []
 
-    def test_parses_are_not_kept_across_calls(self, parse_calls):
-        crs = ["A B, 1950, X", "A B, 1950, X", "HUME D, TREATISE"]
+    def test_drill_parses_its_year_once_per_corpus(self, parse_calls):
+        crs = ["A B, 1950, X", "A B, 1950, X", "C D, 1950, Y", "E F, 1960, Z", "HUME D, TREATISE"]
         records = _parse([citing_record("WOS:1", crs=crs), citing_record("WOS:2", crs=crs)])
-        first, _ = build_corpus(records)
-        second, _ = build_corpus(records)
-        assert parse_calls == ["A B, 1950, X", "HUME D, TREATISE"] * 2
-        assert first == second
-        assert first.records[0].cited_refs[0] is not second.records[0].cited_refs[0]
+        corpus, _ = build_corpus(records)
+        drill_year(corpus, 1950)
+        assert sorted(parse_calls) == ["A B, 1950, X", "C D, 1950, Y"]
+        parse_calls.clear()
+        drill_year(corpus, 1950, top_k=1)
+        author_breakdown(corpus, "A B", 1950)
+        assert parse_calls == []
+        profile_all_peaks(corpus, [Peak(1960, Fraction(1), 2, 1), Peak(1950, Fraction(1), 6, 2)])
+        assert parse_calls == ["E F, 1960, Z"]
+        parse_calls.clear()
+        again, _ = build_corpus(records)
+        assert again == corpus
+        drill_year(again, 1950)
+        assert sorted(parse_calls) == ["A B, 1950, X", "C D, 1950, Y"]
 
     @settings(max_examples=200)
     @given(_reused_cr_records_st(), st.sampled_from([None, {"erkenntnis"}, {"MIND", "NOUS"}]))
-    def test_memoized_build_matches_parsing_every_line(self, records, journal_filter):
+    def test_build_matches_reference_and_parses_on_demand(self, records, journal_filter):
         corpus, diag = build_corpus(records, journal_filter)
-        reference, reference_diag = _build_parsing_every_line(records, journal_filter)
+        reference, reference_diag = _reference_build(records, journal_filter)
         assert corpus == reference
-        assert corpus.by_year == reference.by_year
         assert diag == reference_diag
+        lines = [line for record in reference.records for line in record.cited_refs]
+        by_year = defaultdict(Counter)
+        for line in lines:
+            by_year[parse_cited_reference(line).year][line] += 1
+        assert corpus.by_year == by_year
         refs = list(corpus.iter_refs())
-        assert len({id(ref) for ref in refs}) == len({ref.raw for ref in refs})
+        assert refs == [parse_cited_reference(line) for line in lines]
+        # Equal strings share one parse.
+        assert len({id(ref) for ref in refs}) == len(set(lines))
 
 
 class TestCorpusStats:

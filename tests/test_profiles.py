@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpys.corpus
 import rpys.profiles
 from rpys import (
     AuthorShare,
     AuthorWorkBreakdown,
-    CitedReference,
     Corpus,
     Peak,
     RawRecord,
@@ -28,16 +28,15 @@ from rpys import (
     detect_peaks,
     drill_year,
     median_deviation,
-    parse_cited_reference,
     profile_all_peaks,
     reference_key,
     round_share,
 )
+from rpys.wos import cited_year
 
 
 def corpus_of_lines(lines, pub_year=2013):
-    refs = tuple(parse_cited_reference(line) for line in lines)
-    record = Record(uid="R1", journal="J", pub_year=pub_year, cited_refs=refs)
+    record = Record(uid="R1", journal="J", pub_year=pub_year, cited_refs=tuple(lines))
     return Corpus((record,))
 
 
@@ -121,17 +120,16 @@ class TestDrillYear:
 
     def test_record_order_does_not_matter(self):
         lines = [f"AUTHOR{i % 4} A, 1950, SRC{i % 3}" for i in range(12)]
-        refs = [parse_cited_reference(line) for line in lines]
         rng = random.Random(7)
-        shuffled = refs[:]
+        shuffled = lines[:]
         rng.shuffle(shuffled)
         one = Corpus(
-            (Record(uid="R1", journal="J", pub_year=2000, cited_refs=tuple(refs)),)
+            (Record(uid="R1", journal="J", pub_year=2000, cited_refs=tuple(lines)),)
         )
         two = Corpus(
             tuple(
-                Record(uid=f"R{i}", journal="J", pub_year=2000, cited_refs=(ref,))
-                for i, ref in enumerate(shuffled)
+                Record(uid=f"R{i}", journal="J", pub_year=2000, cited_refs=(line,))
+                for i, line in enumerate(shuffled)
             )
         )
         assert drill_year(one, 1950) == drill_year(two, 1950)
@@ -218,23 +216,23 @@ class TestShareConsistency:
 
 
 def test_one_corpus_walked_once(monkeypatch):
-    # Spectrum and every drill read the corpus's one year index.
+    # Spectrum and every drill read the corpus's one year index, built by
+    # reading the year of each distinct string once.
     corpus = corpus_of_lines(["A A, 1905, S"] * 5 + ["B B, 1962, S"] * 9)
     calls = []
-    walk = Corpus.iter_refs
 
-    def counted(self):
-        calls.append(self)
-        return walk(self)
+    def counted(line):
+        calls.append(line)
+        return cited_year(line)
 
-    monkeypatch.setattr(Corpus, "iter_refs", counted)
+    monkeypatch.setattr(rpys.corpus, "cited_year", counted)
     spectrum = compute_spectrum(corpus)
     for year in (1905, 1962, 1777):
         drill_year(corpus, year)
     author_breakdown(corpus, "A A", 1905)
     peaks = detect_peaks(median_deviation(spectrum))
     assert len(profile_all_peaks(corpus, peaks)) == 2
-    assert len(calls) == 1
+    assert sorted(calls) == ["A A, 1905, S", "B B, 1962, S"]
 
 
 # Reference drill: one reference_key call per cited-reference line, a full
@@ -310,8 +308,7 @@ _lines_st = st.lists(
 
 @st.composite
 def _drill_corpora(draw):
-    """A corpus from build_corpus (one shared object per distinct string) or a
-    hand-built one whose equal references are sometimes distinct objects."""
+    """A corpus from build_corpus or a hand-built one (records may cite nothing)."""
     cited = draw(st.lists(_lines_st, max_size=6))
     if draw(st.booleans()):
         raws = [
@@ -320,17 +317,7 @@ def _drill_corpora(draw):
             if crs
         ]
         return build_corpus(raws)[0]
-    shared = {}
-    records = []
-    for i, crs in enumerate(cited):
-        refs = []
-        for line in crs:
-            if draw(st.booleans()):
-                refs.append(shared.setdefault(line, parse_cited_reference(line)))
-            else:
-                refs.append(parse_cited_reference(line))
-        records.append(Record(f"R{i}", "J", 2010, tuple(refs)))
-    return Corpus(tuple(records))
+    return Corpus(tuple(Record(f"R{i}", "J", 2010, tuple(crs)) for i, crs in enumerate(cited)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,17 +347,16 @@ def test_reference_key_called_once_per_distinct_object(monkeypatch, drill_corpus
         return reference_key(ref)
 
     monkeypatch.setattr(rpys.profiles, "reference_key", counted)
-    refs = drill_corpus.by_year[1905]
-    distinct = {id(ref) for ref in refs}
-    assert (len(refs), len(distinct)) == (100, 70)
+    lines = drill_corpus.by_year[1905]
+    assert (lines.total(), len(lines)) == (100, 70)
 
     drill_year(drill_corpus, 1905)
-    assert sorted(map(id, keyed)) == sorted(distinct)
+    assert sorted(ref.raw for ref in keyed) == sorted(lines)
 
     keyed.clear()
     breakdown = author_breakdown(drill_corpus, "EINSTEIN A", 1905)
     assert breakdown.total_refs == 24
-    assert sorted(map(id, keyed)) == sorted(
-        {id(ref) for ref in refs if ref.first_author == "EINSTEIN A"}
+    assert sorted(ref.raw for ref in keyed) == sorted(
+        line for line in lines if line.startswith("EINSTEIN A,")
     )
     assert len(keyed) == 3

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpys import (
-    CitedReference,
     Corpus,
     DeviationSeries,
     Record,
@@ -21,7 +20,7 @@ from rpys import (
 
 
 def corpus_of_years(years, pub_year=2013):
-    refs = tuple(CitedReference(raw=f"AUTHOR A, {y}, SRC", year=y) for y in years)
+    refs = tuple(f"AUTHOR A, {y}, SRC" for y in years)
     record = Record(uid="R1", journal="J TEST", pub_year=pub_year, cited_refs=refs)
     return Corpus((record,))
 
@@ -77,11 +76,12 @@ class TestComputeSpectrum:
         assert spectrum.total == 3
 
     def test_out_of_range_year_dropped(self):
+        # A parsed year is never below 1000; the default floor is 1500.
         record = Record(
             uid="R1",
             journal="J TEST",
             pub_year=2013,
-            cited_refs=(CitedReference(raw="OLD SCROLL", year=905),),
+            cited_refs=("SCRIBE A, 1205, OLD SCROLL",),
         )
         spectrum = compute_spectrum(Corpus((record,)))
         assert spectrum.dropped_out_of_range == 1
@@ -108,10 +108,7 @@ class TestComputeSpectrum:
         assert spectrum.dropped_out_of_range == 2
 
     def test_yearless_refs_not_counted_or_dropped(self):
-        refs = (
-            CitedReference(raw="HUME D, TREATISE", year=None),
-            CitedReference(raw="A B, 1905, X", year=1905),
-        )
+        refs = ("HUME D, TREATISE", "A B, 1905, X")
         record = Record(uid="R1", journal="J", pub_year=2000, cited_refs=refs)
         spectrum = compute_spectrum(Corpus((record,)))
         assert spectrum.total == 1

@@ -3,34 +3,29 @@
 from __future__ import annotations
 
 import codecs
-from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import rpys.wos
 from rpys import (
     UNKNOWN_AUTHOR,
     CitedReference,
     ExportParseError,
     RawRecord,
     UnrecognizedFormatError,
-    build_corpus,
     detect_format,
     load_export,
     normalize_author,
     parse_cited_reference,
     parse_export,
-    serialize_export,
 )
 from rpys.wos import (
-    _COMMON_CR,
     MAX_RPY,
     MIN_RPY,
     TAB_DELIMITED,
     TAGGED,
-    _parse_segments,
+    cited_year,
     decode_export_bytes,
 )
 
@@ -280,15 +275,15 @@ class TestRoundTrip:
     @settings(max_examples=150)
     @given(st.lists(_record_st, min_size=1, max_size=5))
     def test_serialize_parse_serialize(self, records):
-        text = serialize_export(records)
+        text = tagged_export([r.tags for r in records])
         reparsed, diag = parse_export(text)
         assert diag.malformed_records == 0
         assert reparsed == records
-        assert serialize_export(reparsed) == text
+        assert tagged_export([r.tags for r in reparsed]) == text
 
     def test_fixture_records_round_trip(self):
         records, _ = parse_export(THREE_RECORD_EXPORT)
-        text = serialize_export(records)
+        text = tagged_export([r.tags for r in records])
         reparsed, diag = parse_export(text)
         assert reparsed == records
         assert diag.malformed_records == 0
@@ -547,69 +542,52 @@ def _shaped_cr_st(draw) -> str:
     return line
 
 
-class TestCommonShape:
-    def test_regex_agrees_with_segment_walk(self):
-        took_regex = []
+# Lines on either side of each edge of the common shape, where a
+# shortcut reading of the year would most likely go wrong.
+_NEAR_MISSES = (
+    [f"EINSTEIN A, {year}, ANN PHYS" for year in ("0999", MIN_RPY, MAX_RPY, MAX_RPY + 1, "１９０５")]
+    + [
+        f"EINSTEIN A, 1905, {source}{tail}"
+        for source in ("V2 X", "V17", "P12", "PA1", "P12 SUPPL", "Vx", "P", "DOI 10.1/x")
+        for tail in ("", ", V17", ", P891", ", DOI 10.1/x")
+    ]
+    + [
+        f"EINSTEIN A, 1905, ANN PHYS, V17, P891, {doi}"
+        for doi in ("DOI ", "DOI DOI 10.1/x", "DOI  10.1/x", "DOI 10.1/x ", "DOI [10.1/x, 10.2/y]")
+    ]
+    + [
+        "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891, DOI 10.1002/andp.19053220607",
+        "Kuhn TS, 1962, STRUCTURE SCI REVOLU",
+        "van Fraassen BC, 1980, SCI IMAGE, DOI 10.1/x",
+        "Unknown, 1905, ANN PHYS",
+        "A, 1905, ",
+    ]
+)
 
-        @settings(max_examples=1500)
-        @given(_shaped_cr_st())
-        def agree(line):
-            took_regex.append(_COMMON_CR.fullmatch(line) is not None)
-            assert parse_cited_reference(line) == _parse_segments(line)
 
-        agree()
-        # Many examples must take the regex, or the agreement shows nothing.
-        assert sum(took_regex) >= 0.3 * len(took_regex)
+class TestCitedYear:
+    """``cited_year`` reads the year ``parse_cited_reference`` reads."""
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            f"EINSTEIN A, {year}, ANN PHYS"
-            for year in ("0999", MIN_RPY, MAX_RPY, MAX_RPY + 1, "１９０５")
-        ]
-        + [
-            f"EINSTEIN A, 1905, {source}{tail}"
-            for source in ("V2 X", "V17", "P12", "PA1", "P12 SUPPL", "Vx", "P", "DOI 10.1/x")
-            for tail in ("", ", V17", ", P891", ", DOI 10.1/x")
-        ]
-        + [
-            f"EINSTEIN A, 1905, ANN PHYS, V17, P891, {doi}"
-            for doi in ("DOI ", "DOI DOI 10.1/x", "DOI  10.1/x", "DOI 10.1/x ", "DOI [10.1/x, 10.2/y]")
-        ],
-    )
+    @pytest.mark.parametrize("line", _NEAR_MISSES)
     def test_near_miss_at_each_edge(self, line):
-        assert parse_cited_reference(line) == _parse_segments(line)
+        assert cited_year(line) == parse_cited_reference(line).year
 
-    @pytest.mark.parametrize(
-        "line, author, doi",
-        [
-            ("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891, DOI 10.1002/andp.19053220607",
-             "EINSTEIN A", "10.1002/andp.19053220607"),
-            ("Kuhn TS, 1962, STRUCTURE SCI REVOLU", "KUHN TS", None),
-            ("van Fraassen BC, 1980, SCI IMAGE, DOI 10.1/x", "VAN FRAASSEN BC", "10.1/x"),
-            ("Unknown, 1905, ANN PHYS", None, None),
-        ],
-    )
-    def test_doi_and_mixed_case_author_take_the_regex(self, line, author, doi):
-        assert _COMMON_CR.fullmatch(line)
-        ref = parse_cited_reference(line)
-        assert (ref.first_author, ref.doi) == (author, doi)
-        assert ref == _parse_segments(line)
+    @settings(max_examples=1000)
+    @given(_cr_line_st)
+    @example("X, 1905, ")  # the line is stripped before it is split
+    def test_matches_parse_on_segment_soup(self, line):
+        assert cited_year(line) == parse_cited_reference(line).year
 
-    def test_demo_export_mostly_takes_the_regex(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-        from demo_pipeline import synthesize_export
+    @settings(max_examples=1000)
+    @given(_shaped_cr_st())
+    def test_matches_parse_on_common_shapes(self, line):
+        assert cited_year(line) == parse_cited_reference(line).year
 
-        records, _ = parse_export(synthesize_export(7, 300))
-        walked = []
-        monkeypatch.setattr(
-            rpys.wos, "_parse_segments", lambda line: walked.append(line) or _parse_segments(line)
-        )
-        build_corpus(records)
-        distinct = {line for record in records for line in record.get("CR")}
-        assert len(walked) <= 0.05 * len(distinct)
-        # What falls back lacks a year (the demo's undated working papers).
-        assert all(_parse_segments(line).year is None for line in walked)
+
+@settings(max_examples=1000)
+@given(_shaped_cr_st())
+def test_one_pass_matches_two_pass_on_common_shapes(line):
+    assert parse_cited_reference(line) == _two_pass_parse(line)
 
 
 # One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
