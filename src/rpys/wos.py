@@ -6,6 +6,10 @@ Two export layouts are supported:
   tag followed by one space and a value, values continued on lines
   indented by exactly three spaces, each record terminated by ``ER`` and
   the whole file by ``EF``.  ``FN``/``VR`` file-header lines are skipped.
+  Inside an open record a continuation line takes priority over every
+  other reading, so a continued value that reads ``ER`` ends nothing.
+  The reader splits the text once, before each line that is not a
+  continuation, and reads one field at a time.
 * ``tab_delimited`` -- one header line of two-character tags, then one
   record per line; the ``CR`` cell packs all cited references separated
   by ``"; "``.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import codecs
 import re
+import string
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,11 +36,15 @@ from .textnorm import UNKNOWN_AUTHOR, normalize_author
 TAGGED = "tagged"
 TAB_DELIMITED = "tab_delimited"
 
-# Tag, one space, value.  The value may be empty; a bare two-char tag is
-# also accepted.  ER/EF/FN/VR are structural and handled before this.
-_TAG_LINE = re.compile(r"^([A-Z0-9]{2})(?: (.*))?$")
-_TAG_NAME = re.compile(r"^[A-Z0-9]{2}$")
+# Every field tag: two characters, each an ASCII capital or digit.  A
+# tag line is a tag, then nothing or one space and the value (maybe
+# empty).  ER/EF/FN/VR are structural and handled before this.
+_TAG_CHARS = string.ascii_uppercase + string.digits
+_TAGS = frozenset(a + b for a in _TAG_CHARS for b in _TAG_CHARS)
 _FILE_HEADER_TAGS = ("FN", "VR")
+# Splits tagged text into chunks of one line plus its continuation lines.
+_FIELD_BREAK = re.compile(r"\n(?!   )")
+_LINE_END_CRS = re.compile(r"\r+(?=\n|\Z)")
 
 # Reports a structural defect at a 1-based line; built by parse_export.
 _Defect = Callable[[int, str], None]
@@ -105,11 +114,11 @@ class ParseDiagnostics:
         return len(self.malformed_positions)
 
 
-def _lines(text: str) -> list[str]:
-    """Split export text into lines without a leading BOM or trailing CRs."""
-    lines = [line.rstrip("\r") for line in text.split("\n")]
-    lines[0] = lines[0].lstrip("\ufeff")
-    return lines
+def _normalized(text: str) -> str:
+    """Export text without a leading BOM or the CRs that end its lines."""
+    if "\r" in text:
+        text = _LINE_END_CRS.sub("", text)
+    return text.lstrip("\ufeff")
 
 
 def detect_format(text: str) -> str:
@@ -119,7 +128,8 @@ def detect_format(text: str) -> str:
     the PY and CR tags marks a tab-delimited one.  Anything else raises
     :class:`UnrecognizedFormatError`.
     """
-    [first] = _lines(text.partition("\n")[0])
+    end = text.find("\n")
+    first = _normalized(text if end < 0 else text[:end])
     if first.startswith("FN"):
         return TAGGED
     cells = [cell.strip() for cell in first.split("\t")]
@@ -152,7 +162,7 @@ def parse_export(
             raise ExportParseError(f"line {lineno}: {message}", lineno)
         diag.malformed_positions.append(lineno)
 
-    records = parse(_lines(text), defect)
+    records = parse(_normalized(text), defect)
     diag.records_parsed = len(records)
     diag.cr_lines_parsed = sum(len(r.get("CR")) for r in records)
     return records, diag
@@ -161,7 +171,7 @@ def parse_export(
 def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
     # The CR tag must only carry non-empty reference lines.
     if "CR" in tags:
-        kept = [v for v in tags["CR"] if v.strip()]
+        kept = list(filter(str.strip, tags["CR"]))
         if kept:
             tags["CR"] = kept
         else:
@@ -169,22 +179,24 @@ def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
     return RawRecord(tags)
 
 
-def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
+def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
     records: list[RawRecord] = []
     tags: dict[str, list[str]] | None = None  # the open record, if any
-    current_tag = ""
+    values: list[str] = []  # the open record's current field
     skipping = False  # resyncing to the next ER or EF after a malformed line
-    numbered = enumerate(lines, start=1)
-    for lineno, line in numbered:
-        # Continuation lines take priority so values that happen to
-        # read "ER" cannot terminate the block.
-        if tags is not None and line.startswith("   "):
-            tags[current_tag].append(line[3:])
-            continue
+    lineno = 1  # of the chunk's first line
+    chunks = _FIELD_BREAK.split(text)
+    for idx, chunk in enumerate(chunks):
+        # One line, then the continuation lines after it, without their
+        # indent; most chunks are one line.
+        if "\n" in chunk:
+            line, *more = chunk.split("\n   ")
+        else:
+            line, more = chunk, ()
         stripped = line.rstrip()
         if not stripped:
-            continue
-        if stripped == "ER":
+            pass
+        elif stripped == "ER":
             if tags is not None:
                 records.append(_finalize_record(tags))
             elif not skipping:
@@ -194,37 +206,49 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
             if tags is not None:
                 defect(lineno, "record not terminated by ER before EF")
             # Only blank lines may follow the file terminator.
-            for lineno, line in numbered:
+            rest = "\n".join(chunks[idx:]).split("\n")[1:]
+            for lineno, line in enumerate(rest, start=lineno + 1):
                 if line.strip():
                     defect(lineno, "content after EF terminator")
                     break
             return records
         elif skipping:
-            continue
-        elif match := _TAG_LINE.match(line):
-            tag = match.group(1)
-            if tags is None:
-                if tag in _FILE_HEADER_TAGS:
-                    continue
+            pass
+        elif (tag := line[:2]) in _TAGS and (len(line) == 2 or line[2] == " "):
+            if tags is None and tag not in _FILE_HEADER_TAGS:
                 tags = {}
-            tags.setdefault(tag, []).append(match.group(2) or "")
-            current_tag = tag
+            if tags is not None:
+                values = tags.setdefault(tag, [])
+                values.append(line[3:])
         else:
             defect(
                 lineno,
                 "expected a tag line" if tags is None else "malformed line inside record",
             )
             tags, skipping = None, True
+        # Continuation lines take priority inside an open record, so values
+        # that happen to read "ER" cannot terminate the block.  Outside
+        # one, the first that is not blank is a defect.
+        if tags is not None:
+            values.extend(more)
+        elif more and not skipping:
+            for offset, cont in enumerate(more, start=1):
+                if cont.strip():
+                    defect(lineno + offset, "expected a tag line")
+                    skipping = True
+                    break
+        lineno += 1 + len(more)
 
     if tags is not None:
-        defect(len(lines), "record not terminated by ER at end of input")
+        defect(lineno - 1, "record not terminated by ER at end of input")
     return records
 
 
-def _parse_tab_delimited(lines: list[str], defect: _Defect) -> list[RawRecord]:
+def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
     records: list[RawRecord] = []
+    lines = text.split("\n")
     header = [c.strip() for c in lines[0].split("\t")]
-    columns = [(i, tag) for i, tag in enumerate(header) if _TAG_NAME.match(tag)]
+    columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -239,7 +263,7 @@ def _parse_tab_delimited(lines: list[str], defect: _Defect) -> list[RawRecord]:
             if not value:
                 continue
             if tag == "CR":
-                refs = [r for r in (p.strip() for p in value.split("; ")) if r]
+                refs = list(filter(None, map(str.strip, value.split("; "))))
                 if refs:
                     tags[tag] = refs
             else:
@@ -265,9 +289,12 @@ def cited_year(cr_line: str) -> int | None:
     (1905, None)
     """
     for seg in cr_line.strip().split(", "):
-        seg = seg.strip()
-        if _is_rpy(seg):
-            return int(seg)
+        if len(seg) != 4:  # a 4-character segment with spaces is no year either way
+            seg = seg.strip()
+        if len(seg) == 4 and seg.isdigit() and seg.isascii():
+            year = int(seg)
+            if MIN_RPY <= year <= MAX_RPY:
+                return year
     return None
 
 

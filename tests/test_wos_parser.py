@@ -29,6 +29,7 @@ from rpys.wos import (
     decode_export_bytes,
 )
 
+import reference_reader
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
 
@@ -565,12 +566,34 @@ _NEAR_MISSES = (
 )
 
 
+# Segments on either side of cited_year's length check, which strips
+# only segments that are not 4 characters long.
+_LENGTH_NEAR_MISSES = {
+    " 1905": 1905,
+    "1905\t": 1905,
+    "\u00a01905": 1905,
+    "\u0661\u0669\u0660\u0665": None,  # 4 digits, not ASCII
+    "01905": None,
+    "190 5": None,
+    "0999, 1905": 1905,
+    "2101, 1999": 1999,
+    ", 1905": 1905,
+    "X, 1905,": None,
+}
+
+
 class TestCitedYear:
     """``cited_year`` reads the year ``parse_cited_reference`` reads."""
 
     @pytest.mark.parametrize("line", _NEAR_MISSES)
     def test_near_miss_at_each_edge(self, line):
         assert cited_year(line) == parse_cited_reference(line).year
+
+    @pytest.mark.parametrize("template", ["{}", "EINSTEIN A, {}, ANN PHYS"])
+    @pytest.mark.parametrize("segment, year", list(_LENGTH_NEAR_MISSES.items()))
+    def test_near_miss_at_length_check(self, template, segment, year):
+        line = template.format(segment)
+        assert cited_year(line) == parse_cited_reference(line).year == year
 
     @settings(max_examples=1000)
     @given(_cr_line_st)
@@ -741,3 +764,77 @@ class TestLineEndsAndEncodings:
         assert _outcome(load_export, path, strict=strict) == _outcome(
             lambda: (*parse_export(text, fmt, strict=strict), fmt)
         )
+
+
+# Soups for the reader differential, dense in the lines where reading
+# one field at a time could part from reading one line at a time:
+# continuation look-alikes, line ends, mid-file headers and terminators.
+_soup_line_st = st.one_of(
+    st.sampled_from(
+        ["   ", "    ", "     x", "   ER", "   EF", "   C D, 1950, Y", "   \t", "\t", "\tjunk"]
+        + ["PT J", "UT WOS:1", "CR A B, 1905, X", "CR", "CR ", "ER", "ER ", " ER", "EF", "EF "]
+        + ["FN WoS", "VR 1.0", "", " ", "  ", "junk", "pt J", "\ufeffPT J", "X\rY", "\x1c"]
+        # tag-line near misses
+        + ["AU", "AU  x", "AUx", "AU\tx", "A", "A1 x", "1A", "Au x", "\u00c91 x", "\uff21U x"]
+    ),
+    st.builds(lambda tag, value: f"{tag} {value}", _tag_st, _value_st),
+    st.builds(lambda indent, value: indent + value, st.sampled_from(["   ", "    "]), _value_st),
+)
+_line_end_st = st.sampled_from(["", "", "", "\r", "\r\r"])
+
+
+@st.composite
+def _soup_text_st(draw, line_st, headers: list[str]) -> str:
+    lines = draw(st.lists(st.tuples(line_st, _line_end_st).map("".join), max_size=16))
+    lines.insert(0, draw(st.sampled_from(headers)) + draw(_line_end_st))
+    bom = draw(st.sampled_from(["", "", "\ufeff", "\ufeff\ufeff"]))
+    return bom + "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+_tsv_cell_st = st.one_of(
+    st.sampled_from(
+        ["", " ", "A B, 1905, X; C D, 1950, Y", "A B, 1905, X;  ; ", "; ", " ;  ; ", "x;y", "2010"]
+    ),
+    _value_st.filter(lambda v: "\t" not in v),
+)
+_tsv_soup_line_st = st.one_of(
+    st.lists(_tsv_cell_st, min_size=4, max_size=4).map("\t".join),
+    st.lists(_tsv_cell_st, max_size=5).map("\t".join),
+)
+_soup_export_st = st.one_of(
+    st.tuples(st.just(TAGGED), _soup_text_st(_soup_line_st, ["FN WoS\nVR 1.0", ""])),
+    st.tuples(
+        st.just(TAB_DELIMITED),
+        _soup_text_st(
+            _tsv_soup_line_st,
+            ["PT\tPY\tCR\tUT", "", "PT\t PY \tCR\tU", "pt\tPY\tCR\tUT1", "\u00c9T\tPY\tCR\tUT"],
+        ),
+    ),
+)
+
+
+class TestReaderDifferential:
+    """The readers match the per-line reference readers on any text."""
+
+    @settings(max_examples=600)
+    @given(_soup_export_st, st.booleans())
+    @example((TAGGED, "FN WoS\n   x\nPT J\nER"), False)  # a continuation with no record open
+    @example((TAGGED, "   PT J\nUT X"), True)  # an indented first line is no continuation
+    def test_readers_match_reference(self, export, strict):
+        fmt, text = export
+        assert _outcome(parse_export, text, fmt, strict=strict) == _outcome(
+            reference_reader.parse_export, text, fmt, strict=strict
+        )
+
+    @settings(max_examples=150)
+    @given(_soup_export_st)
+    def test_detect_format_matches_reference(self, export):
+        _, text = export
+
+        def outcome(detect):
+            try:
+                return detect(text)
+            except UnrecognizedFormatError as exc:
+                return str(exc)
+
+        assert outcome(detect_format) == outcome(reference_reader.detect_format)
