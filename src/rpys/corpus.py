@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import methodcaller
 
 from .textnorm import UNKNOWN_AUTHOR, key_token, normalize_author
 from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
@@ -135,14 +136,35 @@ class Corpus:
         """Each referenced year's CR strings, counted; ``None`` files the year-less.
 
         The one grouping of references by year: the spectrum sums these
-        counters and every drill reads one.  Built on first use by one pass
-        that reads only the year of each distinct string.
+        counters, and once built every drill reads one (see :meth:`year_lines`).
+        Built on first use by one pass that reads only the year of each
+        distinct string.
         """
         lines = Counter(self._lines())
         index: defaultdict[int | None, Counter[str]] = defaultdict(Counter)
         for line, n in lines.items():
             index[cited_year(line)][line] = n
         return dict(index)
+
+    def year_lines(self, year: int) -> Counter[str]:
+        """``year``'s CR strings, counted; shared, so read-only to callers.
+
+        :attr:`by_year`'s entry once that is built.  Before, only strings
+        containing ``str(year)`` get their year read, and the result is
+        kept per year.  The filter drops no match: :func:`cited_year`
+        returns ``int(seg)`` of a 4-digit segment in ``MIN_RPY..MAX_RPY``
+        (1000..2100), so ``seg`` has no leading zero, and ``str(year) == seg``
+        is part of the string.
+        """
+        if "by_year" in vars(self):
+            return self.by_year.get(year, Counter())
+        drilled = vars(self).setdefault("_year_lines", {})
+        if year not in drilled:
+            lines = Counter(filter(methodcaller("__contains__", str(year)), self._lines()))
+            drilled[year] = Counter(
+                {line: n for line, n in lines.items() if cited_year(line) == year}
+            )
+        return drilled[year]
 
     @property
     def total_cited_refs(self) -> int:

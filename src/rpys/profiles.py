@@ -93,11 +93,13 @@ def _ranked(counts: Counter, top_k: int | None = None) -> list:
 def _year_tally(corpus: Corpus, year: int) -> Counter:
     """References to ``year`` counted per distinct CR string.
 
-    Each string is parsed once per corpus, on the first drill of its
-    year, and keyed once per query.
+    The strings come from :meth:`Corpus.year_lines`: the year index if the
+    spectrum has built it, else a scan for the year's digits alone.  Each
+    string is parsed once per corpus, on the first drill of its year, and
+    keyed once per query.
     """
     parsed = corpus.parsed
-    return Counter({parsed[line]: n for line, n in corpus.by_year.get(year, {}).items()})
+    return Counter({parsed[line]: n for line, n in corpus.year_lines(year).items()})
 
 
 def _work_rows(tally: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:

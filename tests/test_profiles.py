@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpys.cli
 import rpys.corpus
 import rpys.profiles
 from rpys import (
@@ -33,6 +35,8 @@ from rpys import (
     round_share,
 )
 from rpys.wos import cited_year
+
+from conftest import citing_record, drill_1905_crs, tagged_export
 
 
 def corpus_of_lines(lines, pub_year=2013):
@@ -216,8 +220,8 @@ class TestShareConsistency:
 
 
 def test_one_corpus_walked_once(monkeypatch):
-    # Spectrum and every drill read the corpus's one year index, built by
-    # reading the year of each distinct string once.
+    # The spectrum builds the corpus's one year index by reading the year of
+    # each distinct string once, and every drill after it reads that index.
     corpus = corpus_of_lines(["A A, 1905, S"] * 5 + ["B B, 1962, S"] * 9)
     calls = []
 
@@ -233,6 +237,46 @@ def test_one_corpus_walked_once(monkeypatch):
     peaks = detect_peaks(median_deviation(spectrum))
     assert len(profile_all_peaks(corpus, peaks)) == 2
     assert sorted(calls) == ["A A, 1905, S", "B B, 1962, S"]
+
+
+# Cited-reference strings where a year's digits stand outside the year segment.
+_NEAR_MISSES = [
+    "A B, 1962, V1905",
+    "A B, 1962, P1905",
+    "A B, 01905, X",
+    "A B, 19050, X",
+    "X, 2101, 1905",
+    "HUME D, 1905TREATISE",
+]
+
+
+@pytest.mark.parametrize("author", [None, "Einstein, A."])
+def test_cli_drill_reads_only_its_year(monkeypatch, tmp_path, author):
+    crs = drill_1905_crs() + _NEAR_MISSES + ["KUHN TS, 1962, STRUCTURE", "B C, 1962, V905"] * 3
+    path = tmp_path / "export.txt"
+    blocks = [citing_record(f"WOS:{i}", crs=crs[i::4]) for i in range(4)]
+    path.write_text(tagged_export(blocks), encoding="utf-8")
+    calls, loaded = [], []
+
+    def counted(line):
+        calls.append(line)
+        return cited_year(line)
+
+    def load(args, load=rpys.cli._load_corpus):
+        loaded.append(load(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(rpys.corpus, "cited_year", counted)
+    monkeypatch.setattr(rpys.cli, "_load_corpus", load)
+    argv = ["drill", "--input", str(path), "--year", "1905", "--out", str(tmp_path / "out")]
+    assert rpys.cli.main(argv + (["--author", author] if author else [])) == 0
+
+    (corpus,) = loaded
+    assert sorted(calls) == sorted({line for line in crs if "1905" in line})
+    assert "by_year" not in vars(corpus)
+    calls.clear()
+    assert drill_year(corpus, 1905).total_refs == 101  # with "X, 2101, 1905"
+    assert calls == []
 
 
 # Reference drill: one reference_key call per cited-reference line, a full
@@ -290,6 +334,7 @@ _DRILL_LINES = [
     "Kuhn TS, 1962, Structure Sci Revolu",
     "KUHN TS, 1962, J UNIFIED INQ",
     "1962, UNSIGNED NOTE",
+    *_NEAR_MISSES,
 ]
 _lines_st = st.lists(
     st.one_of(
@@ -301,6 +346,9 @@ _lines_st = st.lists(
             st.sampled_from("XY"),
         ),
         st.text(max_size=20).filter(str.strip),
+        st.lists(st.sampled_from(["1905", "1962", "0", ", ", " ", "V", "A B"]), min_size=1)
+        .map("".join)
+        .filter(str.strip),
     ),
     max_size=12,
 )
@@ -337,6 +385,33 @@ def test_drills_match_per_line_reference(corpus):
         assert profile_all_peaks(corpus, peaks, top_k) == [
             _per_line_drill_year(corpus, year, top_k) for year in sorted(years)
         ]
+
+
+def _mentioned_years(corpus):
+    """Every year in 1000..2100 whose digits some CR string contains."""
+    found = {
+        int(digits)
+        for record in corpus.records
+        for line in record.cited_refs
+        for digits in re.findall("(?=([0-9]{4}))", line)
+    }
+    return sorted(year for year in found if 1000 <= year <= 2100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drill_corpora())
+def test_year_scan_matches_year_index(corpus):
+    years = _mentioned_years(corpus) + [1777]
+    scanned = {year: corpus.year_lines(year) for year in years}
+    assert "by_year" not in vars(corpus)
+    assert scanned == {year: corpus.by_year.get(year, Counter()) for year in years}
+
+    drilled_first = Corpus(corpus.records)
+    drills = [drill_year(drilled_first, year) for year in years]
+    spectrum = compute_spectrum(drilled_first)
+    spectrum_first = Corpus(corpus.records)
+    assert compute_spectrum(spectrum_first) == spectrum
+    assert [drill_year(spectrum_first, year) for year in years] == drills
 
 
 def test_reference_key_called_once_per_distinct_object(monkeypatch, drill_corpus):
