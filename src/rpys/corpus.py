@@ -147,24 +147,20 @@ class Corpus:
         return dict(index)
 
     def year_lines(self, year: int) -> Counter[str]:
-        """``year``'s CR strings, counted; shared, so read-only to callers.
+        """``year``'s CR strings, counted; read-only to callers.
 
-        :attr:`by_year`'s entry once that is built.  Before, only strings
-        containing ``str(year)`` get their year read, and the result is
-        kept per year.  The filter drops no match: :func:`cited_year`
-        returns ``int(seg)`` of a 4-digit segment in ``MIN_RPY..MAX_RPY``
-        (1000..2100), so ``seg`` has no leading zero, and ``str(year) == seg``
-        is part of the string.
+        :attr:`by_year`'s entry once that is built.  Before, one pass over
+        all CR lines keeps those containing ``str(year)`` and reads the
+        year of only those distinct strings; nothing is kept, so a caller
+        that drills many years should build :attr:`by_year` first.  The
+        filter drops no match: :func:`cited_year` returns ``int(seg)`` of a
+        4-digit segment in ``MIN_RPY..MAX_RPY`` (1000..2100), so ``seg``
+        has no leading zero, and ``str(year) == seg`` is part of the string.
         """
         if "by_year" in vars(self):
             return self.by_year.get(year, Counter())
-        drilled = vars(self).setdefault("_year_lines", {})
-        if year not in drilled:
-            lines = Counter(filter(methodcaller("__contains__", str(year)), self._lines()))
-            drilled[year] = Counter(
-                {line: n for line, n in lines.items() if cited_year(line) == year}
-            )
-        return drilled[year]
+        lines = Counter(filter(methodcaller("__contains__", str(year)), self._lines()))
+        return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @property
     def total_cited_refs(self) -> int:
