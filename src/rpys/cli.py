@@ -163,6 +163,9 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
             raise CliError("--journals must name at least one source title")
     args.year_range = _parse_year_range(args.year_range) if args.year_range else None
     args.format = _FMT_BY_FLAG[args.format]
+    year = getattr(args, "year", MIN_RPY)  # drill's flag
+    if not MIN_RPY <= year <= MAX_RPY:
+        raise CliError(f"invalid --year {year}: years must lie within {MIN_RPY}:{MAX_RPY}")
     author = getattr(args, "author", None)  # drill's flag
     if author is not None and not author_token(author):
         raise CliError(f"--author {author!r} has no name after normalization")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import methodcaller
+from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token, normalize_author
 from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
@@ -49,9 +50,11 @@ class Record:
     cited_refs: tuple[str, ...]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class RefKey:
-    """Normalized identity of a cited work.
+class RefKey(NamedTuple):
+    """Normalized identity of a cited work, ordered field by field.
+
+    A named tuple, so hashing, equality and ordering run in C; it is
+    also a plain tuple, and equals one of the same five values.
 
     DOI is deliberately not part of the identity: DOIs are sparse in
     older CR strings, and mixing DOI-keyed and field-keyed identities
@@ -110,9 +113,22 @@ class _ParsedRefs(dict):
         return ref
 
 
+class _WorkKeys(dict):
+    """Raw CR string -> (first author, RefKey or None), keyed on first lookup only."""
+
+    def __init__(self, parsed: dict[str, CitedReference]):
+        super().__init__()
+        self.parsed = parsed
+
+    def __missing__(self, line: str) -> tuple[str | None, RefKey | None]:
+        ref = self.parsed[line]
+        work = self[line] = ref.first_author, reference_key(ref)
+        return work
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """Deduplicated citing records, ready for spectrum queries."""
+    """Deduplicated citing records; a CR string is parsed and keyed once, on first use."""
 
     records: tuple[Record, ...]
 
@@ -123,6 +139,11 @@ class Corpus:
         Equal strings share one object, and none is parsed twice per corpus.
         """
         return _ParsedRefs()
+
+    @cached_property
+    def work_keys(self) -> dict[str, tuple[str | None, RefKey | None]]:
+        """Each CR string's first author and :class:`RefKey`, keyed once per corpus."""
+        return _WorkKeys(self.parsed)
 
     def _lines(self):
         return chain.from_iterable(record.cited_refs for record in self.records)

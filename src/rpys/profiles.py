@@ -4,7 +4,9 @@ Given a referenced publication year (typically a detected peak), these
 queries answer "who and what drives the citations to that year".  The
 share denominator is ALL references to that year, including ones whose
 author could not be parsed; those appear as an explicit unattributed
-count rather than silently shrinking the denominator.
+count rather than silently shrinking the denominator.  A query counts
+its year's raw CR strings and reads each one's first author and work key
+from :attr:`Corpus.work_keys`, so a string is keyed once per corpus.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus, RefKey, reference_key
+from .corpus import Corpus, RefKey
 from .spectrum import Peak
 from .textnorm import UNKNOWN_AUTHOR
 
@@ -90,24 +92,9 @@ def _ranked(counts: Counter, top_k: int | None = None) -> list:
     return heapq.nsmallest(top_k, counts.items(), key=_by_count_then_item)
 
 
-def _year_tally(corpus: Corpus, year: int) -> Counter:
-    """References to ``year`` counted per distinct CR string.
-
-    The strings come from :meth:`Corpus.year_lines`: the year index if the
-    spectrum has built it, else a scan for the year's digits alone.  Each
-    string is parsed once per corpus, on the first drill of its year, and
-    keyed once per query.
-    """
-    parsed = corpus.parsed
-    return Counter({parsed[line]: n for line, n in corpus.year_lines(year).items()})
-
-
-def _work_rows(tally: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:
-    """Most-cited works in a per-reference ``tally``, shares of all of it."""
-    total = tally.total()
-    works: Counter = Counter()
-    for ref, n in tally.items():
-        works[reference_key(ref)] += n
+def _work_rows(works: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:
+    """Most-cited works in a per-work tally, shares of all of it."""
+    total = works.total()
     return tuple(
         WorkShare(key, count, round_share(count, total))
         for key, count in _ranked(works, top_k)
@@ -123,12 +110,17 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    tally = _year_tally(corpus, year)
-    total = tally.total()
+    lines = corpus.year_lines(year)
+    work_keys = corpus.work_keys
     authors: Counter = Counter()
-    for ref, n in tally.items():
-        if ref.first_author is not None:
-            authors[ref.first_author] += n
+    works: Counter = Counter()
+    # get() rather than +=, which sends each new key through Counter.__missing__.
+    for line, n in lines.items():
+        author, key = work_keys[line]
+        if author is not None:
+            authors[author] = authors.get(author, 0) + n
+        works[key] = works.get(key, 0) + n
+    total = lines.total()
     return YearProfile(
         year=year,
         total_refs=total,
@@ -136,7 +128,7 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
             AuthorShare(name, count, round_share(count, total))
             for name, count in _ranked(authors, top_k)
         ),
-        work_rows=_work_rows(tally, top_k),
+        work_rows=_work_rows(works, top_k),
         unattributed=total - authors.total(),
     )
 
@@ -150,11 +142,14 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    tally = Counter(
-        {ref: n for ref, n in _year_tally(corpus, year).items() if ref.first_author == author}
-    )
+    work_keys = corpus.work_keys
+    works: Counter = Counter()
+    for line, n in corpus.year_lines(year).items():
+        first_author, key = work_keys[line]
+        if first_author == author:
+            works[key] = works.get(key, 0) + n
     return AuthorWorkBreakdown(
-        author=author, year=year, total_refs=tally.total(), rows=_work_rows(tally)
+        author=author, year=year, total_refs=works.total(), rows=_work_rows(works)
     )
 
 

@@ -477,6 +477,29 @@ class TestFlagsAndErrors:
         assert capsys.readouterr() == ("", f"rpys: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "year, message",
+        [
+            (year, f"invalid --year {year}: years must lie within 1000:2100")
+            for year in ("1", "0", "-1905", "999", "2101")
+        ],
+        ids=["one", "zero", "negative", "below", "above"],
+    )
+    def test_drill_year_check_exits_two(self, spike_export, tmp_path, capsys, year, message):
+        out = tmp_path / "out"
+        argv = ["drill", "--input", spike_export, "--year", year]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"rpys: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("year", [1000, 2100])
+    def test_drill_year_bounds_still_run(self, spike_export, tmp_path, year):
+        out = tmp_path / "out"
+        argv = ["drill", "--input", spike_export, "--year", str(year), "--out", str(out)]
+        assert main(argv) == 1  # a year without references
+        payload = json.loads((out / f"profile_{year}.json").read_text(encoding="utf-8"))
+        assert (payload["year"], payload["total_refs"]) == (year, 0)
+
     def test_strict_mode_fails_on_malformed_block(self, tmp_path, capsys):
         text = "FN WoS\nVR 1.0\nPT J\nSO X\nPY 2000\nUT WOS:1\nEF\n"  # missing ER
         path = tmp_path / "trunc.txt"

@@ -18,6 +18,7 @@ from rpys import (
     Peak,
     RawRecord,
     Record,
+    RefKey,
     TAB_DELIMITED,
     UNKNOWN_AUTHOR,
     author_breakdown,
@@ -35,6 +36,7 @@ from rpys import (
 
 from rpys.textnorm import key_token
 
+import refkey_oracle
 from conftest import citing_record, tagged_export
 
 
@@ -88,6 +90,54 @@ class TestReferenceKey:
         key = reference_key(parse_cited_reference("1923, RELATIVITY THEORY"))
         assert key is not None
         assert key.author == UNKNOWN_AUTHOR
+
+
+# Few values per field, so keys tie in every field; UNKNOWN and empty
+# source, volume and page included.
+_key_fields = st.tuples(
+    st.sampled_from([UNKNOWN_AUTHOR, "EINSTEIN A", "EINSTEIN", "A", "a", ""]),
+    st.sampled_from([1000, 1905, 1906, 2100]),
+    st.sampled_from(["", "ANN PHYS", "ANN PHYS-BERLIN", "Z"]),
+    st.sampled_from(["", "17", "170", "2"]),
+    st.sampled_from(["", "891", "89", "9"]),
+)
+
+
+class TestRefKeyContract:
+    """The named-tuple RefKey behaves as the ordered dataclass it replaced."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_key_fields, max_size=12))
+    def test_matches_dataclass_oracle(self, rows):
+        new = [RefKey(*row) for row in rows]
+        old = [refkey_oracle.RefKey(*row) for row in rows]
+        # sorted() is stable, so equal keys keep their input order on both sides.
+        assert sorted(range(len(rows)), key=new.__getitem__) == sorted(
+            range(len(rows)), key=old.__getitem__
+        )
+        assert [[a == b for b in new] for a in new] == [[a == b for b in old] for a in old]
+        assert [[a < b for b in new] for a in new] == [[a < b for b in old] for a in old]
+        assert [k.display() for k in new] == [k.display() for k in old]
+        assert all(hash(a) == hash(b) for a in new for b in new if a == b)
+
+    def test_keyword_construction(self):
+        key = RefKey(author="EINSTEIN A", year=1905, source="ANN PHYS", volume="17", page="")
+        assert key == RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "")
+        assert (key.author, key.year, key.source, key.volume, key.page) == (
+            "EINSTEIN A", 1905, "ANN PHYS", "17", "",
+        )
+
+    def test_frozen(self):
+        key = RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "")
+        with pytest.raises(AttributeError):
+            key.author = "POINCARE H"
+        assert key.author == "EINSTEIN A"
+
+    def test_is_a_plain_tuple_of_its_fields(self):
+        # Documented side effects of the named tuple.
+        key = RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "")
+        assert isinstance(key, tuple)
+        assert key == ("EINSTEIN A", 1905, "ANN PHYS", "17", "")
 
 
 def _parse(blocks):

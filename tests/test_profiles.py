@@ -411,24 +411,69 @@ def test_year_scan_matches_year_index(corpus):
     assert [drill_year(spectrum_first, year) for year in years] == drills
 
 
-def test_reference_key_called_once_per_distinct_object(monkeypatch, drill_corpus):
+def test_reference_key_called_once_per_distinct_string_per_corpus(monkeypatch, drill_corpus):
+    # The first drill of a year keys each of its distinct strings; every later
+    # query on the same corpus reads those keys back from Corpus.work_keys.
     keyed = []
 
     def counted(ref):
-        keyed.append(ref)
+        keyed.append(ref.raw)
         return reference_key(ref)
 
-    monkeypatch.setattr(rpys.profiles, "reference_key", counted)
+    monkeypatch.setattr(rpys.corpus, "reference_key", counted)
     lines = drill_corpus.by_year[1905]
     assert (lines.total(), len(lines)) == (100, 70)
 
-    drill_year(drill_corpus, 1905)
-    assert sorted(ref.raw for ref in keyed) == sorted(lines)
+    first = drill_year(drill_corpus, 1905)
+    assert sorted(keyed) == sorted(lines)
 
     keyed.clear()
-    breakdown = author_breakdown(drill_corpus, "EINSTEIN A", 1905)
-    assert breakdown.total_refs == 24
-    assert sorted(ref.raw for ref in keyed) == sorted(
-        line for line in lines if line.startswith("EINSTEIN A,")
+    assert author_breakdown(drill_corpus, "EINSTEIN A", 1905).total_refs == 24
+    assert keyed == []
+    assert drill_year(drill_corpus, 1905) == first
+    assert keyed == []
+    assert profile_all_peaks(drill_corpus, [Peak(1905, Fraction(1), 100, 1)]) == [first]
+    assert keyed == []
+
+
+_TOP_KS = [1, 2, 3, 10, 1000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drill_corpora(), st.data())
+def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
+    # One corpus answers a random run of queries, its parse and key memos
+    # filling as they go, with the year index built at a random point or
+    # never; each answer equals the per-line oracle on a fresh corpus.
+    fresh = Corpus(corpus.records)
+    years = sorted({ref.year for ref in fresh.iter_refs()} - {None}) + [1777]
+    authors = sorted({ref.first_author for ref in fresh.iter_refs()} - {None}) + ["ABSENT Z"]
+    queries = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["drill", "breakdown", "all_peaks"]),
+                st.sampled_from(years),
+                st.sampled_from(authors),
+                st.sampled_from(_TOP_KS),
+                st.lists(st.sampled_from(years), unique=True),
+            ),
+            max_size=12,
+        )
     )
-    assert len(keyed) == 3
+    index_at = data.draw(st.integers(0, len(queries)))
+    for i, (kind, year, author, top_k, peak_years) in enumerate(queries):
+        if i == index_at:
+            assert "by_year" not in vars(corpus)
+            corpus.by_year  # builds the year index
+        oracle = Corpus(corpus.records)
+        if kind == "drill":
+            assert drill_year(corpus, year, top_k) == _per_line_drill_year(oracle, year, top_k)
+        elif kind == "breakdown":
+            assert author_breakdown(corpus, author, year) == _per_line_author_breakdown(
+                oracle, author, year
+            )
+        else:
+            peaks = [Peak(y, Fraction(1), 1, rank) for rank, y in enumerate(peak_years, 1)]
+            assert profile_all_peaks(corpus, peaks, top_k) == [
+                _per_line_drill_year(oracle, y, top_k) for y in sorted(peak_years)
+            ]
