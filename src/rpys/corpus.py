@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from operator import methodcaller
 from typing import NamedTuple
@@ -105,52 +105,18 @@ class CorpusDiagnostics:
     excluded_by_filter: int = 0
 
 
-class _ParsedRefs(dict):
-    """Raw CR string -> its CitedReference, parsed on first lookup only."""
-
-    def __missing__(self, line: str) -> CitedReference:
-        ref = self[line] = parse_cited_reference(line)
-        return ref
-
-
-class _WorkKeys(dict):
-    """Raw CR string -> (first author, RefKey or None), keyed on first lookup only."""
-
-    def __init__(self, parsed: dict[str, CitedReference]):
-        super().__init__()
-        self.parsed = parsed
-
-    def __missing__(self, line: str) -> tuple[str | None, RefKey | None]:
-        ref = self.parsed[line]
-        work = self[line] = ref.first_author, reference_key(ref)
-        return work
-
-
 @dataclass(frozen=True)
 class Corpus:
-    """Deduplicated citing records; a CR string is parsed and keyed once, on first use."""
+    """Deduplicated citing records; a CR string is parsed and keyed once, when first drilled."""
 
     records: tuple[Record, ...]
-
-    @cached_property
-    def parsed(self) -> dict[str, CitedReference]:
-        """Each CR string's :class:`CitedReference`, parsed on first lookup.
-
-        Equal strings share one object, and none is parsed twice per corpus.
-        """
-        return _ParsedRefs()
-
-    @cached_property
-    def work_keys(self) -> dict[str, tuple[str | None, RefKey | None]]:
-        """Each CR string's first author and :class:`RefKey`, keyed once per corpus."""
-        return _WorkKeys(self.parsed)
 
     def _lines(self):
         return chain.from_iterable(record.cited_refs for record in self.records)
 
     def iter_refs(self):
-        """Every record's cited references, in order, parsed through :attr:`parsed`."""
-        return map(self.parsed.__getitem__, self._lines())
+        """Every record's cited references, in order; equal strings share one parse."""
+        return map(cache(parse_cited_reference), self._lines())
 
     @cached_property
     def by_year(self) -> dict[int | None, Counter[str]]:
@@ -182,6 +148,27 @@ class Corpus:
             return self.by_year.get(year, Counter())
         lines = Counter(filter(methodcaller("__contains__", str(year)), self._lines()))
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
+
+    @cached_property
+    def _works_by_year(self) -> dict[int, Counter[tuple[str | None, RefKey]]]:
+        return {}
+
+    def year_works(self, year: int) -> Counter[tuple[str | None, RefKey]]:
+        """``year``'s (first author, :class:`RefKey`) pairs, counted; read-only to callers.
+
+        Built on the first request for ``year`` from :meth:`year_lines`,
+        parsing and keying each distinct string once, and kept.  A string
+        has one year, so none is parsed or keyed twice per corpus.
+        """
+        works = self._works_by_year.get(year)
+        if works is None:
+            works = Counter()
+            for line, n in self.year_lines(year).items():
+                ref = parse_cited_reference(line)
+                work = ref.first_author, reference_key(ref)
+                works[work] = works.get(work, 0) + n
+            self._works_by_year[year] = works
+        return works
 
     @property
     def total_cited_refs(self) -> int:

@@ -4,9 +4,9 @@ Given a referenced publication year (typically a detected peak), these
 queries answer "who and what drives the citations to that year".  The
 share denominator is ALL references to that year, including ones whose
 author could not be parsed; those appear as an explicit unattributed
-count rather than silently shrinking the denominator.  A query counts
-its year's raw CR strings and reads each one's first author and work key
-from :attr:`Corpus.work_keys`, so a string is keyed once per corpus.
+count rather than silently shrinking the denominator.  A query reads its
+year's (first author, work key) pairs from :meth:`Corpus.year_works`,
+built on the year's first query, so a string is keyed once per corpus.
 """
 
 from __future__ import annotations
@@ -79,17 +79,13 @@ def round_share(count: int, total: int) -> float:
     return ((2000 * count + total) // (2 * total)) / 10.0
 
 
-def _by_count_then_item(pair: tuple) -> tuple:
-    item, count = pair
-    return -count, item
-
-
 def _ranked(counts: Counter, top_k: int | None = None) -> list:
     """(item, count) pairs by count descending then item ascending."""
-    if top_k is None:
-        return sorted(counts.items(), key=_by_count_then_item)
-    # Items are distinct, so this equals sorted(...)[:top_k].
-    return heapq.nsmallest(top_k, counts.items(), key=_by_count_then_item)
+    # Items are distinct, so tuples never compare past the item, and
+    # nsmallest equals sorted(...)[:top_k].
+    order = [(-count, item) for item, count in counts.items()]
+    order = sorted(order) if top_k is None else heapq.nsmallest(top_k, order)
+    return [(item, -count) for count, item in order]
 
 
 def _work_rows(works: Counter, top_k: int | None = None) -> tuple[WorkShare, ...]:
@@ -110,17 +106,15 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    lines = corpus.year_lines(year)
-    work_keys = corpus.work_keys
+    pairs = corpus.year_works(year)
     authors: Counter = Counter()
     works: Counter = Counter()
     # get() rather than +=, which sends each new key through Counter.__missing__.
-    for line, n in lines.items():
-        author, key = work_keys[line]
+    for (author, key), n in pairs.items():
         if author is not None:
             authors[author] = authors.get(author, 0) + n
         works[key] = works.get(key, 0) + n
-    total = lines.total()
+    total = pairs.total()
     return YearProfile(
         year=year,
         total_refs=total,
@@ -142,10 +136,8 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    work_keys = corpus.work_keys
     works: Counter = Counter()
-    for line, n in corpus.year_lines(year).items():
-        first_author, key = work_keys[line]
+    for (first_author, key), n in corpus.year_works(year).items():
         if first_author == author:
             works[key] = works.get(key, 0) + n
     return AuthorWorkBreakdown(

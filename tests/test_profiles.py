@@ -21,6 +21,7 @@ from rpys import (
     Peak,
     RawRecord,
     Record,
+    RefKey,
     UNKNOWN_AUTHOR,
     WorkShare,
     YearProfile,
@@ -413,7 +414,7 @@ def test_year_scan_matches_year_index(corpus):
 
 def test_reference_key_called_once_per_distinct_string_per_corpus(monkeypatch, drill_corpus):
     # The first drill of a year keys each of its distinct strings; every later
-    # query on the same corpus reads those keys back from Corpus.work_keys.
+    # query on the same corpus reads those keys back from Corpus.year_works.
     keyed = []
 
     def counted(ref):
@@ -436,13 +437,72 @@ def test_reference_key_called_once_per_distinct_string_per_corpus(monkeypatch, d
     assert keyed == []
 
 
+@pytest.mark.parametrize("index_first", [False, True])
+def test_drilled_year_is_not_read_again(monkeypatch, drill_corpus, index_first):
+    # Once a year is drilled, its queries read Corpus.year_works alone: no
+    # string of the year is scanned for its year, parsed or keyed again,
+    # whether the year index was built before that drill, after it or never.
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(rpys.corpus, name)
+
+        def wrapper(arg):
+            calls[name] += 1
+            return original(arg)
+
+        return wrapper
+
+    for name in ("cited_year", "parse_cited_reference", "reference_key"):
+        monkeypatch.setattr(rpys.corpus, name, counted(name))
+    if index_first:
+        drill_corpus.by_year  # builds the year index
+    first = drill_year(drill_corpus, 1905)
+    assert calls["parse_cited_reference"] == calls["reference_key"] == 70
+
+    for index_built in (index_first, True):
+        assert ("by_year" in vars(drill_corpus)) == index_built
+        calls.clear()
+        assert drill_year(drill_corpus, 1905) == first
+        assert author_breakdown(drill_corpus, "EINSTEIN A", 1905).total_refs == 24
+        assert profile_all_peaks(drill_corpus, [Peak(1905, Fraction(1), 100, 1)]) == [first]
+        assert calls == Counter()
+        drill_corpus.by_year  # builds the year index, if not yet built
+
+
+_rank_counts = st.one_of(
+    st.dictionaries(st.text(max_size=3), st.integers(1, 3)),
+    st.dictionaries(
+        st.builds(
+            RefKey,
+            st.sampled_from(["A", "B", UNKNOWN_AUTHOR]),
+            st.integers(1904, 1906),
+            st.sampled_from(["", "X", "Y"]),
+            st.sampled_from(["", "1"]),
+            st.sampled_from(["", "P"]),
+        ),
+        st.integers(1, 3),
+    ),
+).map(Counter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_counts)
+def test_ranked_matches_a_keyed_sort(counts):
+    # Counts of 1..3 tie often, so most rows are ordered by their item.
+    for top_k in [None, *range(1, len(counts) + 2)]:
+        assert rpys.profiles._ranked(counts, top_k) == sorted(
+            counts.items(), key=lambda p: (-p[1], p[0])
+        )[:top_k]
+
+
 _TOP_KS = [1, 2, 3, 10, 1000]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_drill_corpora(), st.data())
 def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
-    # One corpus answers a random run of queries, its parse and key memos
+    # One corpus answers a random run of queries, its per-year memo
     # filling as they go, with the year index built at a random point or
     # never; each answer equals the per-line oracle on a fresh corpus.
     fresh = Corpus(corpus.records)
