@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from .corpus import Corpus, CorpusError, CorpusStats, build_corpus, corpus_stats
 from .profiles import author_breakdown, drill_year
@@ -33,7 +34,7 @@ from .spectrum import (
     median_deviation,
 )
 from .svgplot import render_spectrogram
-from .textnorm import UNKNOWN_AUTHOR, author_token, normalize_author
+from .textnorm import UNKNOWN_AUTHOR, key_token
 from .wos import (
     MAX_RPY,
     MIN_RPY,
@@ -125,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         "drill", parents=[common], help="author/work shares for one referenced year"
     )
     drill.add_argument("--year", type=int, required=True, help="referenced year to profile")
-    drill.add_argument("--author", help="restrict to one first author's works")
+    drill.add_argument(
+        "--author", help="restrict to one first author's works, named as in the author rows"
+    )
     drill.set_defaults(run=cmd_drill)
     plot = sub.add_parser("plot", parents=[common], help="write spectrogram.svg")
     plot.set_defaults(run=cmd_plot)
@@ -167,12 +170,12 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     if not MIN_RPY <= year <= MAX_RPY:
         raise CliError(f"invalid --year {year}: years must lie within {MIN_RPY}:{MAX_RPY}")
     author = getattr(args, "author", None)  # drill's flag
-    if author is not None and not author_token(author):
+    if author is not None and not key_token(author):
         raise CliError(f"--author {author!r} has no name after normalization")
     # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
     if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
         raise CliError(f"--author {author!r} is not valid text")
-    if author is not None and normalize_author(author) == UNKNOWN_AUTHOR:
+    if author is not None and key_token(author) == UNKNOWN_AUTHOR:
         raise CliError("cannot break down the unattributed bucket by work")
     return args
 
@@ -305,8 +308,9 @@ def _stats_table(stats: CorpusStats) -> str:
 
 
 def _slug(name: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").lower()
-    return slug or "author"
+    # One file per author: a key_token name holds no "_", "%", "." or "~",
+    # and no lowercase ASCII, so quoting and then lowering merges no names.
+    return quote(name, safe=" ").lower().replace(" ", "_")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -386,7 +390,7 @@ def cmd_drill(args: argparse.Namespace) -> int:
     year = args.year
 
     if args.author is not None:
-        name = normalize_author(args.author)
+        name = key_token(args.author)
         breakdown = author_breakdown(corpus, name, year)
         payload = {
             "author": breakdown.author,

@@ -150,11 +150,11 @@ class Corpus:
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @cached_property
-    def _works_by_year(self) -> dict[int, Counter[tuple[str | None, RefKey]]]:
+    def _works_by_year(self) -> dict[int, Counter[RefKey]]:
         return {}
 
-    def year_works(self, year: int) -> Counter[tuple[str | None, RefKey]]:
-        """``year``'s (first author, :class:`RefKey`) pairs, counted; read-only to callers.
+    def year_works(self, year: int) -> Counter[RefKey]:
+        """``year``'s cited works, one :class:`RefKey` each, counted; read-only to callers.
 
         Built on the first request for ``year`` from :meth:`year_lines`,
         parsing and keying each distinct string once, and kept.  A string
@@ -164,9 +164,8 @@ class Corpus:
         if works is None:
             works = Counter()
             for line, n in self.year_lines(year).items():
-                ref = parse_cited_reference(line)
-                work = ref.first_author, reference_key(ref)
-                works[work] = works.get(work, 0) + n
+                key = reference_key(parse_cited_reference(line))
+                works[key] = works.get(key, 0) + n
             self._works_by_year[year] = works
         return works
 

@@ -3,10 +3,10 @@
 Given a referenced publication year (typically a detected peak), these
 queries answer "who and what drives the citations to that year".  The
 share denominator is ALL references to that year, including ones whose
-author could not be parsed; those appear as an explicit unattributed
-count rather than silently shrinking the denominator.  A query reads its
-year's (first author, work key) pairs from :meth:`Corpus.year_works`,
-built on the year's first query, so a string is keyed once per corpus.
+work key has no author; those appear as an explicit unattributed count
+rather than silently shrinking the denominator.  A query reads its year's
+work keys from :meth:`Corpus.year_works`, built on the year's first
+query, so a string is keyed once per corpus.
 """
 
 from __future__ import annotations
@@ -100,21 +100,21 @@ def _work_rows(works: Counter, top_k: int | None = None) -> tuple[WorkShare, ...
 def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     """Most-cited first authors and works for one year.
 
-    Rows are sorted by count descending then name/key ascending and
-    truncated to ``top_k``; shares are percentages of all references to
-    the year.  A year with no references yields an empty profile.
+    An author row counts the works whose ``RefKey.author`` is its name, and
+    those whose key author is ``UNKNOWN`` are ``unattributed``.  Rows are
+    sorted by count descending then name/key ascending and truncated to
+    ``top_k``; shares are percentages of all references to the year.  A
+    year with no references yields an empty profile.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    pairs = corpus.year_works(year)
+    works = corpus.year_works(year)
     authors: Counter = Counter()
-    works: Counter = Counter()
     # get() rather than +=, which sends each new key through Counter.__missing__.
-    for (author, key), n in pairs.items():
-        if author is not None:
-            authors[author] = authors.get(author, 0) + n
-        works[key] = works.get(key, 0) + n
-    total = pairs.total()
+    for key, n in works.items():
+        authors[key.author] = authors.get(key.author, 0) + n
+    total = works.total()
+    unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
     return YearProfile(
         year=year,
         total_refs=total,
@@ -123,23 +123,22 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
             for name, count in _ranked(authors, top_k)
         ),
         work_rows=_work_rows(works, top_k),
-        unattributed=total - authors.total(),
+        unattributed=unattributed,
     )
 
 
 def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakdown:
     """One author's works cited in one year, shares within the author.
 
-    ``author`` must already be in normalized form (as produced by
-    normalize_author and reported by drill_year).  An author absent in
-    that year yields an empty breakdown.
+    The works kept are those whose ``RefKey.author`` is ``author``, so it
+    must already be in that form (as produced by key_token and reported by
+    drill_year).  An author absent in that year yields an empty breakdown.
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    works: Counter = Counter()
-    for (first_author, key), n in corpus.year_works(year).items():
-        if first_author == author:
-            works[key] = works.get(key, 0) + n
+    works = Counter(
+        {key: n for key, n in corpus.year_works(year).items() if key.author == author}
+    )
     return AuthorWorkBreakdown(
         author=author, year=year, total_refs=works.total(), rows=_work_rows(works)
     )

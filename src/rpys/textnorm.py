@@ -16,12 +16,6 @@ UNKNOWN_AUTHOR = "UNKNOWN"
 _KEY_PUNCT = {ord(ch): None for ch in string.punctuation if ch != "-"}
 
 
-def author_token(raw_author: str) -> str:
-    """Uppercase, drop periods/commas, collapse whitespace; may be empty."""
-    cleaned = raw_author.replace(".", "").replace(",", "")
-    return " ".join(cleaned.split()).upper()
-
-
 def normalize_author(raw_author: str) -> str:
     """Normalize an author token: uppercase, drop periods/commas, collapse
     whitespace. An empty result maps to the ``UNKNOWN`` sentinel.
@@ -29,7 +23,8 @@ def normalize_author(raw_author: str) -> str:
     >>> normalize_author("Einstein, A.")
     'EINSTEIN A'
     """
-    return author_token(raw_author) or UNKNOWN_AUTHOR
+    cleaned = raw_author.replace(".", "").replace(",", "")
+    return " ".join(cleaned.split()).upper() or UNKNOWN_AUTHOR
 
 
 def key_token(value: str) -> str:

@@ -8,7 +8,8 @@ duplicates, a journal filter, a malformed block, a Latin-1 line, a
 year-less reference, out-of-range years and a ``drill --author``
 breakdown.  A refactor leaves every digest unchanged; a change that
 alters an artifact on purpose says why in CHANGES.md and re-pins with
-``PYTHONPATH=src python tests/test_pinned_artifacts.py``.
+``PYTHONPATH=src python tests/test_pinned_artifacts.py``, which prints
+each ``session/artifact`` whose digest moved, or that none did.
 """
 
 from __future__ import annotations
@@ -107,7 +108,27 @@ def test_artifacts_match_pinned_digests(name):
     assert session_digests(name) == pinned
 
 
+def changed_artifacts(old: dict, new: dict) -> list[str]:
+    """Each ``session/artifact`` whose digest differs, or that only one side has."""
+    return [
+        f"{name}/{artifact}"
+        for name in sorted(old.keys() | new.keys())
+        for artifact in sorted(old.get(name, {}).keys() | new.get(name, {}).keys())
+        if old.get(name, {}).get(artifact) != new.get(name, {}).get(artifact)
+    ]
+
+
+def test_changed_artifacts_names_each_moved_digest():
+    old = {"a": {"x": "1", "y": "2"}, "gone": {"x": "1"}}
+    new = {"a": {"x": "1", "y": "3", "z": "4"}, "b": {"x": "1"}}
+    assert changed_artifacts(old, new) == ["a/y", "a/z", "b/x", "gone/x"]
+    assert changed_artifacts(new, new) == []
+
+
 if __name__ == "__main__":
+    old = json.loads(PINNED.read_text(encoding="utf-8")) if PINNED.exists() else {}
     digests = {name: session_digests(name) for name in SESSIONS}
     PINNED.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    moved = changed_artifacts(old, digests)
+    print("\n".join(f"digest changed: {artifact}" for artifact in moved) or "no digest changed")
     print(f"wrote {PINNED}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
@@ -35,6 +36,7 @@ from rpys import (
     reference_key,
     round_share,
 )
+from rpys.textnorm import key_token
 from rpys.wos import cited_year
 
 from conftest import citing_record, drill_1905_crs, tagged_export
@@ -296,7 +298,8 @@ def _per_line_work_rows(refs, top_k=None):
 def _per_line_drill_year(corpus, year, top_k):
     refs = [ref for ref in corpus.iter_refs() if ref.year == year]
     total = len(refs)
-    authors = Counter(ref.first_author for ref in refs if ref.first_author is not None)
+    names = (reference_key(ref).author for ref in refs)
+    authors = Counter(name for name in names if name != UNKNOWN_AUTHOR)
     return YearProfile(
         year=year,
         total_refs=total,
@@ -310,7 +313,8 @@ def _per_line_drill_year(corpus, year, top_k):
 
 
 def _per_line_author_breakdown(corpus, author, year):
-    refs = [ref for ref in corpus.iter_refs() if ref.year == year and ref.first_author == author]
+    refs = [ref for ref in corpus.iter_refs() if ref.year == year]
+    refs = [ref for ref in refs if reference_key(ref).author == author]
     return AuthorWorkBreakdown(author, year, len(refs), _per_line_work_rows(refs))
 
 
@@ -383,6 +387,22 @@ def test_drills_match_per_line_reference(corpus):
         assert profile_all_peaks(corpus, peaks, top_k) == [
             _per_line_drill_year(corpus, year, top_k) for year in sorted(years)
         ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drill_corpora())
+def test_author_rows_agree_with_work_keys(corpus):
+    # An author row is named by its works' key author: it counts exactly the
+    # works under that name, and its breakdown finds them all.
+    for year in sorted({ref.year for ref in corpus.iter_refs()} - {None}):
+        profile = drill_year(corpus, year, 1000)
+        by_author = Counter()
+        for work in profile.work_rows:
+            by_author[work.key.author] += work.count
+        for row in profile.author_rows:
+            assert row.count == by_author[row.name]
+            assert row.count == author_breakdown(corpus, row.name, year).total_refs
+        assert profile.unattributed == by_author[UNKNOWN_AUTHOR]
 
 
 def _mentioned_years(corpus):
@@ -537,3 +557,63 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
             assert profile_all_peaks(corpus, peaks, top_k) == [
                 _per_line_drill_year(oracle, y, top_k) for y in sorted(peak_years)
             ]
+
+
+# WoS writes "[Anonymous]" for a work with no author and puts "*" before a
+# corporate author.  The author row, the work key and --author all read one
+# name: the author segment's key_token.
+@pytest.mark.parametrize(
+    "raw, name, slug",
+    [
+        ("[Anonymous]", "ANONYMOUS", "anonymous"),
+        ("*US DEP ENERGY", "US DEP ENERGY", "us_dep_energy"),
+    ],
+)
+def test_cli_punctuated_author_is_its_key_author(tmp_path, capsys, raw, name, slug):
+    crs = [f"{raw}, 1950, LETTER"] * 2 + ["SMITH J, 1950, NATURE"]
+    path = tmp_path / "export.txt"
+    path.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+    base = ["drill", "--input", str(path), "--year", "1950"]
+
+    assert rpys.cli.main([*base, "--out", str(tmp_path / "year")]) == 0
+    profile = json.loads((tmp_path / "year" / "profile_1950.json").read_text(encoding="utf-8"))
+    assert profile["authors"][0] == {"name": name, "count": 2, "share": 66.7}
+    assert profile["works"][0]["key"] == f"{name}, 1950, LETTER"
+    assert profile["unattributed"] == 0
+
+    written = []
+    for i, author in enumerate([name, raw]):
+        capsys.readouterr()
+        out = tmp_path / f"author{i}"
+        assert rpys.cli.main([*base, "--author", author, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"{name}, 1950: 2 cited references\n")
+        written.append((out / f"breakdown_1950_{slug}.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["total_refs"] == 2
+
+
+def test_cli_breakdown_file_per_author(tmp_path):
+    crs = ["SMITH J, 1950, NATURE"] * 2 + ["SMITH-J, 1950, SCIENCE"]
+    path = tmp_path / "export.txt"
+    path.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+    out = tmp_path / "out"
+    for author in ("SMITH J", "SMITH-J"):
+        argv = ["drill", "--input", str(path), "--year", "1950", "--author", author]
+        assert rpys.cli.main([*argv, "--out", str(out)]) == 0
+    totals = {
+        p.name: json.loads(p.read_text(encoding="utf-8"))["total_refs"]
+        for p in out.glob("breakdown_*")
+    }
+    assert totals == {"breakdown_1950_smith_j.json": 2, "breakdown_1950_smith-j.json": 1}
+
+
+# "K" and "k" beside the Kelvin sign, whose lowercase is ASCII "k".
+@given(st.lists(st.text("AKZakz09 -_%.~,ßé\u212a\u4e00\x00").map(key_token), unique=True))
+def test_slug_is_one_to_one_on_normalized_names(names):
+    assert len({rpys.cli._slug(name) for name in names}) == len(names)
+
+
+@given(st.lists(st.text("AZ09", min_size=1), min_size=1).map(" ".join))
+def test_slug_keeps_plain_names(name):
+    # Names of A-Z, 0-9 and single spaces keep the file names they always had.
+    assert rpys.cli._slug(name) == re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").lower()
