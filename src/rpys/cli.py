@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import glob
+import hashlib
 import io
 import json
 import math
@@ -54,6 +55,7 @@ MEDIAN_CSV = "median.csv"
 PEAKS_JSON = "peaks.json"
 SPECTROGRAM_SVG = "spectrogram.svg"
 STATS_CSV = "stats.csv"
+_SLUG_MAX = 255 - len("breakdown_2100_.json")  # 255: the usual file-name limit, in bytes
 
 _FMT_BY_FLAG = {"tagged": TAGGED, "tsv": TAB_DELIMITED, "auto": "auto"}
 
@@ -310,7 +312,12 @@ def _stats_table(stats: CorpusStats) -> str:
 def _slug(name: str) -> str:
     # One file per author: a key_token name holds no "_", "%", "." or "~",
     # and no lowercase ASCII, so quoting and then lowering merges no names.
-    return quote(name, safe=" ").lower().replace(" ", "_")
+    # Past _SLUG_MAX a slug is cut, never inside a %xx escape, and gets "~" and a hash.
+    slug = quote(name, safe=" ").lower().replace(" ", "_")
+    if len(slug) <= _SLUG_MAX:
+        return slug
+    head = re.sub("%.?$", "", slug[: _SLUG_MAX - 17])
+    return f"{head}~{hashlib.sha256(name.encode()).hexdigest()[:16]}"
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -78,6 +78,23 @@ class RefKey(NamedTuple):
         return ", ".join(parts)
 
 
+class YearWorks(NamedTuple):
+    """A year's references counted, with ``(item, count)`` rows by count
+    descending then item; works of key author ``UNKNOWN`` are ``unattributed``."""
+
+    total: int
+    unattributed: int
+    authors: tuple[tuple[str, int], ...]
+    works: tuple[tuple[RefKey, int], ...]
+
+
+def _ranked(counts: Counter) -> tuple:
+    """(item, count) pairs by count descending then item ascending."""
+    items = sorted(counts)
+    items.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay by item
+    return tuple(zip(items, map(counts.__getitem__, items)))
+
+
 @dataclass(frozen=True, slots=True)
 class JournalStats:
     journal: str
@@ -150,24 +167,28 @@ class Corpus:
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @cached_property
-    def _works_by_year(self) -> dict[int, Counter[RefKey]]:
+    def _works_by_year(self) -> dict[int, YearWorks]:
         return {}
 
-    def year_works(self, year: int) -> Counter[RefKey]:
-        """``year``'s cited works, one :class:`RefKey` each, counted; read-only to callers.
+    def year_works(self, year: int) -> YearWorks:
+        """``year``'s drill memo: its works and key authors, counted and ranked in full.
 
         Built on the first request for ``year`` from :meth:`year_lines`,
         parsing and keying each distinct string once, and kept.  A string
         has one year, so none is parsed or keyed twice per corpus.
         """
-        works = self._works_by_year.get(year)
-        if works is None:
-            works = Counter()
+        entry = self._works_by_year.get(year)
+        if entry is None:
+            works, authors = Counter(), Counter()
+            # get() rather than +=, which sends each new key through Counter.__missing__.
             for line, n in self.year_lines(year).items():
                 key = reference_key(parse_cited_reference(line))
                 works[key] = works.get(key, 0) + n
-            self._works_by_year[year] = works
-        return works
+                authors[key.author] = authors.get(key.author, 0) + n
+            unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
+            entry = YearWorks(works.total(), unattributed, _ranked(authors), _ranked(works))
+            self._works_by_year[year] = entry
+        return entry
 
     @property
     def total_cited_refs(self) -> int:

@@ -490,6 +490,38 @@ def test_drilled_year_is_not_read_again(monkeypatch, drill_corpus, index_first):
         drill_corpus.by_year  # builds the year index, if not yet built
 
 
+def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
+    # A year's first drill tallies and ranks its works and authors in full;
+    # every later query of the year slices that ranking, at any top_k, so it
+    # builds no Counter and ranks nothing.
+    calls = Counter()
+    counter_init, ranked = Counter.__init__, rpys.corpus._ranked
+
+    def counted_init(self, *args, **kwargs):
+        calls["Counter"] += 1
+        counter_init(self, *args, **kwargs)
+
+    def counted_ranked(counts):
+        calls["_ranked"] += 1
+        return ranked(counts)
+
+    first = drill_year(drill_corpus, 1905, 1)
+    monkeypatch.setattr(Counter, "__init__", counted_init)
+    monkeypatch.setattr(rpys.corpus, "_ranked", counted_ranked)
+    profiles = [drill_year(drill_corpus, 1905, top_k) for top_k in _TOP_KS]
+    rows = profiles[-1].author_rows
+    breakdowns = [author_breakdown(drill_corpus, row.name, 1905) for row in rows]
+    peaks = profile_all_peaks(drill_corpus, [Peak(1905, Fraction(1), 100, 1)], 3)
+    assert not calls
+    monkeypatch.undo()
+
+    assert profiles[0] == first
+    assert [len(p.author_rows) for p in profiles] == [1, 2, 3, 10, 68]
+    assert [len(p.work_rows) for p in profiles] == [1, 2, 3, 10, 70]
+    assert peaks == [profiles[2]]
+    assert sum(b.total_refs for b in breakdowns) == 100 - first.unattributed
+
+
 _rank_counts = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(1, 3)),
     st.dictionaries(
@@ -510,10 +542,9 @@ _rank_counts = st.one_of(
 @given(_rank_counts)
 def test_ranked_matches_a_keyed_sort(counts):
     # Counts of 1..3 tie often, so most rows are ordered by their item.
-    for top_k in [None, *range(1, len(counts) + 2)]:
-        assert rpys.profiles._ranked(counts, top_k) == sorted(
-            counts.items(), key=lambda p: (-p[1], p[0])
-        )[:top_k]
+    assert rpys.corpus._ranked(counts) == tuple(
+        sorted(counts.items(), key=lambda p: (-p[1], p[0]))
+    )
 
 
 _TOP_KS = [1, 2, 3, 10, 1000]
@@ -557,6 +588,24 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
             assert profile_all_peaks(corpus, peaks, top_k) == [
                 _per_line_drill_year(oracle, y, top_k) for y in sorted(peak_years)
             ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drill_corpora())
+def test_narrow_then_wide_drills_match_per_line_reference(corpus):
+    # Each year is first drilled at top_k=1, then at every top_k, with a
+    # breakdown of each author row in between: a wider query still sees the
+    # year's full ranking.
+    oracle = Corpus(corpus.records)
+    years = sorted({ref.year for ref in oracle.iter_refs()} - {None}) + [1777]
+    for year in years:
+        for top_k in [1, *_TOP_KS]:
+            profile = drill_year(corpus, year, top_k)
+            assert profile == _per_line_drill_year(oracle, year, top_k)
+            for row in profile.author_rows:
+                assert author_breakdown(corpus, row.name, year) == _per_line_author_breakdown(
+                    oracle, row.name, year
+                )
 
 
 # WoS writes "[Anonymous]" for a work with no author and puts "*" before a
@@ -607,10 +656,35 @@ def test_cli_breakdown_file_per_author(tmp_path):
     assert totals == {"breakdown_1950_smith_j.json": 2, "breakdown_1950_smith-j.json": 1}
 
 
-# "K" and "k" beside the Kelvin sign, whose lowercase is ASCII "k".
-@given(st.lists(st.text("AKZakz09 -_%.~,ßé\u212a\u4e00\x00").map(key_token), unique=True))
+def test_cli_breakdown_file_name_fits_for_a_long_author(tmp_path, capsys):
+    # Each CJK character quotes to 9 bytes, so this slug alone passes the
+    # usual 255-byte file-name limit.
+    name = "山" * 30 + " T"
+    crs = [f"{name}, 1950, NATURE"] * 3 + ["SMITH J, 1950, NATURE"]
+    path = tmp_path / "export.txt"
+    path.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["drill", "--input", str(path), "--year", "1950", "--author", name]
+    assert rpys.cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (written,) = out.glob("breakdown_*")
+    assert len(written.name.encode()) <= 255
+    assert json.loads(written.read_text(encoding="utf-8"))["total_refs"] == 3
+
+
+# "K" and "k" beside the Kelvin sign, whose lowercase is ASCII "k".  Names
+# repeated up to 300 times run past the file-name limit, so their slugs are
+# cut and share long prefixes.
+_names_st = st.tuples(st.text("AKZakz09 -_%.~,ßé\u212a\u4e00\x00"), st.integers(1, 300))
+
+
+@given(st.lists(_names_st.map(lambda p: key_token(p[0] * p[1])), unique=True))
 def test_slug_is_one_to_one_on_normalized_names(names):
-    assert len({rpys.cli._slug(name) for name in names}) == len(names)
+    slugs = {rpys.cli._slug(name) for name in names}
+    assert len(slugs) == len(names)
+    for slug in slugs:
+        assert len(f"breakdown_2100_{slug}.json".encode()) <= 255
+        assert re.fullmatch("([^%]|%[0-9a-f]{2})*", slug)
 
 
 @given(st.lists(st.text("AZ09", min_size=1), min_size=1).map(" ".join))
