@@ -36,7 +36,7 @@ from .spectrum import (
     median_deviation,
 )
 from .svgplot import render_spectrogram
-from .textnorm import UNKNOWN_AUTHOR, normalize_author
+from .textnorm import UNKNOWN_AUTHOR
 from .wos import (
     TAB_DELIMITED,
     TAGGED,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "UNKNOWN_AUTHOR",
-    "normalize_author",
     "TAGGED",
     "TAB_DELIMITED",
     "RawRecord",

@@ -153,7 +153,8 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     """Check the flags (every exit-2 flag error) and normalize them in place.
 
     Blank inputs are dropped, journals become a set of names, the range
-    ``(lo, hi)`` or None, and the format a ``load_export`` layout name.
+    ``(lo, hi)`` or None, the format a ``load_export`` layout name, and
+    drill's author its ``key_token`` form.
     """
     args.input = [p for p in args.input if p.strip()]
     if not args.input:
@@ -172,13 +173,15 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     if not MIN_RPY <= year <= MAX_RPY:
         raise CliError(f"invalid --year {year}: years must lie within {MIN_RPY}:{MAX_RPY}")
     author = getattr(args, "author", None)  # drill's flag
-    if author is not None and not key_token(author):
-        raise CliError(f"--author {author!r} has no name after normalization")
-    # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
-    if author is not None and any("\ud800" <= ch <= "\udfff" for ch in author):
-        raise CliError(f"--author {author!r} is not valid text")
-    if author is not None and key_token(author) == UNKNOWN_AUTHOR:
-        raise CliError("cannot break down the unattributed bucket by work")
+    if author is not None:
+        args.author = key_token(author)
+        if not args.author:
+            raise CliError(f"--author {author!r} has no name after normalization")
+        # On POSIX, argv bytes that are not UTF-8 arrive as lone surrogates.
+        if any("\ud800" <= ch <= "\udfff" for ch in author):
+            raise CliError(f"--author {author!r} is not valid text")
+        if args.author == UNKNOWN_AUTHOR:
+            raise CliError("cannot break down the unattributed bucket by work")
     return args
 
 
@@ -397,17 +400,16 @@ def cmd_drill(args: argparse.Namespace) -> int:
     year = args.year
 
     if args.author is not None:
-        name = key_token(args.author)
-        breakdown = author_breakdown(corpus, name, year)
+        breakdown = author_breakdown(corpus, args.author, year)
         payload = {
             "author": breakdown.author,
             "year": breakdown.year,
             "total_refs": breakdown.total_refs,
             "works": _works_payload(breakdown.rows),
         }
-        path = out / f"breakdown_{year}_{_slug(name)}.json"
+        path = out / f"breakdown_{year}_{_slug(args.author)}.json"
         _write_json(path, payload)
-        print(f"{name}, {year}: {breakdown.total_refs} cited references")
+        print(f"{args.author}, {year}: {breakdown.total_refs} cited references")
         _print_rows(payload["works"], "key")
     else:
         profile = drill_year(corpus, year, args.top)

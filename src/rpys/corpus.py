@@ -18,7 +18,7 @@ from itertools import chain
 from operator import methodcaller
 from typing import NamedTuple
 
-from .textnorm import UNKNOWN_AUTHOR, key_token, normalize_author
+from .textnorm import UNKNOWN_AUTHOR, key_token
 from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "CorpusStats",
     "CorpusDiagnostics",
     "CorpusError",
-    "normalize_author",
     "reference_key",
     "build_corpus",
     "corpus_stats",
@@ -204,17 +203,14 @@ class Corpus:
 def reference_key(cr: CitedReference) -> RefKey | None:
     """Identity tuple of a cited reference; absent when the year is.
 
-    Pure: byte-identical CR lines always map to equal keys.
+    A projection: :func:`parse_cited_reference` already stores the key
+    forms, so a missing author is ``UNKNOWN`` and a missing source, volume
+    or page is ``""``.  Byte-identical CR lines always map to equal keys.
     """
     if cr.year is None:
         return None
-    author = key_token(cr.first_author) if cr.first_author else UNKNOWN_AUTHOR
     return RefKey(
-        author=author or UNKNOWN_AUTHOR,
-        year=cr.year,
-        source=key_token(cr.source) if cr.source else "",
-        volume=key_token(cr.volume) if cr.volume else "",
-        page=key_token(cr.page) if cr.page else "",
+        cr.first_author or UNKNOWN_AUTHOR, cr.year, cr.source or "", cr.volume or "", cr.page or ""
     )
 
 

@@ -16,17 +16,6 @@ UNKNOWN_AUTHOR = "UNKNOWN"
 _KEY_PUNCT = {ord(ch): None for ch in string.punctuation if ch != "-"}
 
 
-def normalize_author(raw_author: str) -> str:
-    """Normalize an author token: uppercase, drop periods/commas, collapse
-    whitespace. An empty result maps to the ``UNKNOWN`` sentinel.
-
-    >>> normalize_author("Einstein, A.")
-    'EINSTEIN A'
-    """
-    cleaned = raw_author.replace(".", "").replace(",", "")
-    return " ".join(cleaned.split()).upper() or UNKNOWN_AUTHOR
-
-
 def key_token(value: str) -> str:
     """Normalize a field for identity comparison: uppercase, strip ASCII
     punctuation except hyphens, collapse whitespace."""

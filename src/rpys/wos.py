@@ -16,10 +16,12 @@ Two export layouts are supported:
 
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
-here into author / year / source / volume / page / DOI fields.  Parsing
-is total on any non-blank line: lines that match nothing keep only their
-raw text.  A blank line raises ``ValueError``; both export readers drop
-blank CR lines before they reach the parser.
+here into author / year / source / volume / page / DOI fields.  Author,
+source, volume and page are stored in the ``key_token`` form that
+:class:`rpys.corpus.RefKey` holds, so the fields are the work key's.
+Parsing is total on any non-blank line: lines that match nothing keep
+only their raw text.  A blank line raises ``ValueError``; both export
+readers drop blank CR lines before they reach the parser.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .textnorm import UNKNOWN_AUTHOR, normalize_author
+from .textnorm import UNKNOWN_AUTHOR, key_token
 
 TAGGED = "tagged"
 TAB_DELIMITED = "tab_delimited"
@@ -90,7 +92,13 @@ class RawRecord:
 
 @dataclass(frozen=True, slots=True)
 class CitedReference:
-    """One cited-reference string with whatever fields could be recovered."""
+    """One cited-reference string with whatever fields could be recovered.
+
+    ``raw`` and ``doi`` are verbatim.  ``first_author``, ``source``,
+    ``volume`` and ``page`` are the ``key_token`` forms of their segments,
+    ``None`` when that is empty (and the author also when it is ``UNKNOWN``),
+    so they are the fields of the work's :class:`rpys.corpus.RefKey`.
+    """
 
     raw: str
     first_author: str | None = None
@@ -307,16 +315,19 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     work).  The segment just after the year is the source, unless it is
     empty or a volume, page or DOI segment.  The first ``V<digit>...``,
     ``P<alphanumerics>`` and ``DOI ...`` among the other segments fill
-    volume, page and doi; the rest are ignored.  Never raises on a
-    non-blank line (a blank one raises ``ValueError``), and the raw text
-    is always preserved verbatim.
+    volume, page and doi; the rest are ignored.  Each field but doi is
+    stored as the ``key_token`` of its segment, the one normalization a
+    work key gets.  Never raises on a non-blank line (a blank one raises
+    ``ValueError``), and the raw text is always preserved verbatim.
 
     >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
     >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
     ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
-    >>> ref = parse_cited_reference("Kuhn TS, 1962, STRUCT SCI REVOL, DOI 10.1/x")
+    >>> ref = parse_cited_reference("Kuhn T.S., 1962, Struct. Sci. Revol., DOI 10.1/x")
     >>> ref.first_author, ref.year, ref.source, ref.doi
     ('KUHN TS', 1962, 'STRUCT SCI REVOL', '10.1/x')
+    >>> parse_cited_reference("[Anonymous], 1950, X").first_author
+    'ANONYMOUS'
     >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
     >>> ref.first_author, ref.year, ref.source
     (None, 1923, 'RELATIVITY THEORY')
@@ -330,22 +341,22 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
         if year is None and _is_rpy(seg):
             year, year_idx = int(seg), idx
         elif idx == 0:
-            author = normalize_author(seg)
+            author = key_token(seg)
         elif seg[:1] == "V" and seg[1:2].isdigit():
-            volume = volume or seg[1:]
+            volume = volume or key_token(seg[1:])  # never empty: it starts with a digit
         elif seg[:1] == "P" and seg[1:].isalnum():
-            page = page or seg[1:]
+            page = page or key_token(seg[1:])  # never empty: alphanumeric
         elif seg.startswith("DOI "):
             while seg.startswith("DOI "):  # the prefix is sometimes repeated
                 seg = seg[4:]
             doi = doi or seg.strip()
         elif seg and idx - 1 == year_idx:
-            source = seg
+            source = key_token(seg)
     return CitedReference(
         raw=cr_line,
-        first_author=None if author == UNKNOWN_AUTHOR else author,
+        first_author=None if author in ("", UNKNOWN_AUTHOR) else author,
         year=year,
-        source=source,
+        source=source or None,
         volume=volume,
         page=page,
         doi=doi,

@@ -1,12 +1,19 @@
-"""The earlier work identity, a frozen ordered dataclass, kept verbatim.
+"""Earlier forms of the work identity and its normalizers, kept verbatim.
 
-``rpys.corpus.RefKey`` is a named tuple now; ``test_corpus.py`` holds its
-ordering, equality and ``display()`` to this one.
+``RefKey`` is the frozen ordered dataclass that ``rpys.corpus.RefKey``, a
+named tuple now, replaced; ``test_corpus.py`` holds its ordering, equality
+and ``display()`` to this one.  ``normalize_author`` and ``reference_key``
+are the author normalizer the cited-reference parser used and the keying
+that ran ``key_token`` again on the parsed fields; ``test_wos_parser.py``
+holds the one-pass parse-then-key path to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from rpys.textnorm import UNKNOWN_AUTHOR, key_token
+from rpys.wos import CitedReference
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -33,3 +40,31 @@ class RefKey:
         if self.page:
             parts.append("P" + self.page)
         return ", ".join(parts)
+
+
+def normalize_author(raw_author: str) -> str:
+    """Normalize an author token: uppercase, drop periods/commas, collapse
+    whitespace. An empty result maps to the ``UNKNOWN`` sentinel.
+
+    >>> normalize_author("Einstein, A.")
+    'EINSTEIN A'
+    """
+    cleaned = raw_author.replace(".", "").replace(",", "")
+    return " ".join(cleaned.split()).upper() or UNKNOWN_AUTHOR
+
+
+def reference_key(cr: CitedReference) -> RefKey | None:
+    """Identity tuple of a cited reference; absent when the year is.
+
+    Pure: byte-identical CR lines always map to equal keys.
+    """
+    if cr.year is None:
+        return None
+    author = key_token(cr.first_author) if cr.first_author else UNKNOWN_AUTHOR
+    return RefKey(
+        author=author or UNKNOWN_AUTHOR,
+        year=cr.year,
+        source=key_token(cr.source) if cr.source else "",
+        volume=key_token(cr.volume) if cr.volume else "",
+        page=key_token(cr.page) if cr.page else "",
+    )

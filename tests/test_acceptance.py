@@ -60,7 +60,8 @@ def test_c1_parser_fixture_and_round_trip():
     print(f"C1 parser fixture + round-trip: PASS ({elapsed:.3f}s < 1s)")
 
 
-# (line, first_author, year, source, volume, page, doi) hand-parsed
+# (line, first_author, year, source, volume, page, doi) hand-parsed; every
+# field but doi in its work-key form
 CR_ORACLE = [
     ("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891",
      "EINSTEIN A", 1905, "ANN PHYS-BERLIN", "17", "891", None),
@@ -75,7 +76,7 @@ CR_ORACLE = [
     ("SMITH J, 2004, J INFORMETR, V1, P8, DOI 10.1016/j.joi.2006.09.001",
      "SMITH J", 2004, "J INFORMETR", "1", "8", "10.1016/j.joi.2006.09.001"),
     ("[ANONYMOUS], 1899, LANCET",
-     "[ANONYMOUS]", 1899, "LANCET", None, None, None),
+     "ANONYMOUS", 1899, "LANCET", None, None, None),
     ("DOE J, 2101, FUTURE STUD",
      "DOE J", None, None, None, None, None),
     ("NEWTON I, 1687, PHILOS NAT PRIN MATH",

@@ -27,7 +27,6 @@ from rpys import (
     corpus_stats,
     drill_year,
     load_export,
-    normalize_author,
     parse_cited_reference,
     parse_export,
     profile_all_peaks,
@@ -40,22 +39,29 @@ import refkey_oracle
 from conftest import citing_record, tagged_export
 
 
-class TestNormalizeAuthor:
+class TestKeyToken:
+    """The one normalization of a work key's fields; ``first_author`` holds it."""
+
     def test_comma_and_period_form(self):
-        assert normalize_author("Einstein, A.") == "EINSTEIN A"
+        assert key_token("Einstein, A.") == "EINSTEIN A"
+        assert parse_cited_reference("Einstein A., 1905, X").first_author == "EINSTEIN A"
 
     def test_already_normalized_is_identity(self):
-        assert normalize_author("KUHN TS") == "KUHN TS"
+        assert key_token("KUHN TS") == "KUHN TS"
+        assert parse_cited_reference("KUHN TS, 1962, X").first_author == "KUHN TS"
 
-    def test_empty_maps_to_unknown(self):
-        assert normalize_author("") == UNKNOWN_AUTHOR
-        assert normalize_author(" . , ") == UNKNOWN_AUTHOR
+    def test_empty_maps_to_no_author(self):
+        assert key_token("") == key_token(" . , ") == ""
+        for line in ["., 1905, X", "[ ], 1905, X", "Unknown, 1905, X", "1905, X"]:
+            ref = parse_cited_reference(line)
+            assert ref.first_author is None, line
+            assert reference_key(ref).author == UNKNOWN_AUTHOR
 
     @settings(max_examples=200)
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
-        once = normalize_author(raw)
-        assert normalize_author(once) == once
+        once = key_token(raw)
+        assert key_token(once) == once
 
 
 class TestReferenceKey:

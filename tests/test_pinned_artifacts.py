@@ -9,7 +9,8 @@ year-less reference, out-of-range years and a ``drill --author``
 breakdown.  A refactor leaves every digest unchanged; a change that
 alters an artifact on purpose says why in CHANGES.md and re-pins with
 ``PYTHONPATH=src python tests/test_pinned_artifacts.py``, which prints
-each ``session/artifact`` whose digest moved, or that none did.
+each ``session/artifact`` whose digest moved, or that none did.  The
+re-pin needs no pytest: this module never imports it.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from rpys.cli import main
 
@@ -102,10 +102,33 @@ def session_digests(name: str) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("name", list(SESSIONS))
+def pytest_generate_tests(metafunc):
+    # Parametrizes by hook rather than decorator, so the module imports without pytest.
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", list(SESSIONS))
+
+
 def test_artifacts_match_pinned_digests(name):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))[name]
     assert session_digests(name) == pinned
+
+
+def test_module_and_sessions_run_without_pytest():
+    # A child with the pytest import blocked loads this module and checks
+    # one session against its pinned entry, writing no digests.
+    before = PINNED.read_bytes()
+    code = (
+        "import json, sys\n"
+        "sys.modules['pytest'] = None\n"
+        "import test_pinned_artifacts as pins\n"
+        "pinned = json.loads(pins.PINNED.read_text(encoding='utf-8'))['tsv']\n"
+        "assert pins.session_digests('tsv') == pinned\n"
+    )
+    path = os.pathsep.join([str(TESTS), str(TESTS.parent / "src")])
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert PINNED.read_bytes() == before
 
 
 def changed_artifacts(old: dict, new: dict) -> list[str]:

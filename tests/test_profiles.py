@@ -32,6 +32,7 @@ from rpys import (
     detect_peaks,
     drill_year,
     median_deviation,
+    parse_cited_reference,
     profile_all_peaks,
     reference_key,
     round_share,
@@ -606,6 +607,14 @@ def test_narrow_then_wide_drills_match_per_line_reference(corpus):
                 assert author_breakdown(corpus, row.name, year) == _per_line_author_breakdown(
                     oracle, row.name, year
                 )
+
+
+@pytest.mark.parametrize("author", ["[Anonymous]", "*US DEP ENERGY", "O'NEILL J"])
+def test_parsed_first_author_is_its_drill_row_name(author):
+    # The parser and the drill name an author by one normalization.
+    line = f"{author}, 1950, LETTER"
+    profile = drill_year(corpus_of_lines([line]), 1950)
+    assert [row.name for row in profile.author_rows] == [parse_cited_reference(line).first_author]
 
 
 # WoS writes "[Anonymous]" for a work with no author and puts "*" before a

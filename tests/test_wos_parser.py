@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import dataclasses
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,10 +17,11 @@ from rpys import (
     UnrecognizedFormatError,
     detect_format,
     load_export,
-    normalize_author,
     parse_cited_reference,
     parse_export,
+    reference_key,
 )
+from rpys.textnorm import key_token
 from rpys.wos import (
     MAX_RPY,
     MIN_RPY,
@@ -30,6 +32,7 @@ from rpys.wos import (
 )
 
 import reference_reader
+import refkey_oracle
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
 
@@ -397,7 +400,7 @@ def _two_pass_parse(cr_line: str) -> CitedReference:
 
     first_author: str | None = None
     if year_idx != 0:
-        candidate = normalize_author(segments[0])
+        candidate = refkey_oracle.normalize_author(segments[0])
         if candidate != UNKNOWN_AUTHOR:
             first_author = candidate
 
@@ -458,11 +461,38 @@ _segment_st = st.builds(
 _cr_line_st = st.lists(_segment_st, min_size=1, max_size=8).map(", ".join).filter(str.strip)
 
 
+def _key_form(ref: CitedReference) -> CitedReference:
+    """``ref`` with author, source, volume and page as ``key_token`` forms,
+    each ``None`` when empty, and the author also when it is ``UNKNOWN``."""
+
+    def token(value: str | None) -> str | None:
+        return (key_token(value) or None) if value else None
+
+    author = token(ref.first_author)
+    return dataclasses.replace(
+        ref,
+        first_author=None if author == UNKNOWN_AUTHOR else author,
+        source=token(ref.source),
+        volume=token(ref.volume),
+        page=token(ref.page),
+    )
+
+
+def _key_fields(key) -> tuple | None:
+    return None if key is None else (key.author, key.year, key.source, key.volume, key.page)
+
+
 class TestCitedReferenceDifferential:
     @settings(max_examples=1000)
     @given(_cr_line_st)
     def test_one_pass_matches_two_pass_reference(self, line):
-        assert parse_cited_reference(line) == _two_pass_parse(line)
+        assert parse_cited_reference(line) == _key_form(_two_pass_parse(line))
+
+    @settings(max_examples=1000)
+    @given(_cr_line_st)
+    def test_key_matches_two_pass_then_key_on_segment_soup(self, line):
+        key = reference_key(parse_cited_reference(line))
+        assert _key_fields(key) == _key_fields(refkey_oracle.reference_key(_two_pass_parse(line)))
 
 
 # Strings of the common shape
@@ -610,7 +640,14 @@ class TestCitedYear:
 @settings(max_examples=1000)
 @given(_shaped_cr_st())
 def test_one_pass_matches_two_pass_on_common_shapes(line):
-    assert parse_cited_reference(line) == _two_pass_parse(line)
+    assert parse_cited_reference(line) == _key_form(_two_pass_parse(line))
+
+
+@settings(max_examples=1000)
+@given(_shaped_cr_st())
+def test_key_matches_two_pass_then_key_on_common_shapes(line):
+    key = reference_key(parse_cited_reference(line))
+    assert _key_fields(key) == _key_fields(refkey_oracle.reference_key(_two_pass_parse(line)))
 
 
 # One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
