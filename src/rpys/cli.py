@@ -72,68 +72,75 @@ def build_parser() -> argparse.ArgumentParser:
             "exports: where are a field's historical roots?"
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Flag sets as parent parsers, so a subcommand takes only the flags it reads.
+    load = argparse.ArgumentParser(add_help=False)
+    load.add_argument(
         "--input",
         action="append",
         required=True,
         metavar="PATH",
         help="export file or glob pattern; repeat for multiple inputs",
     )
-    common.add_argument(
+    load.add_argument(
         "--format",
         choices=sorted(_FMT_BY_FLAG),
         default="auto",
         help="export layout (default: detect from the first line)",
     )
-    common.add_argument(
+    load.add_argument(
         "--journals",
         metavar="LIST",
         help="comma-separated source titles to keep (case-insensitive)",
     )
-    common.add_argument(
+    load.add_argument("--out", metavar="DIR", help="directory for output files")
+    load.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on malformed input instead of skipping it",
+    )
+    year_range = argparse.ArgumentParser(add_help=False)
+    year_range.add_argument(
         "--range",
         dest="year_range",
         metavar="LO:HI",
         help=f"valid referenced-year range within {MIN_RPY}:{MAX_RPY}; also pins the axis",
     )
-    common.add_argument(
+    min_deviation = argparse.ArgumentParser(add_help=False)
+    min_deviation.add_argument(
         "--min-deviation",
         type=float,
         default=0.0,
         metavar="X",
         help="ignore peaks with deviation <= X (default 0)",
     )
-    common.add_argument(
-        "--top", type=int, default=10, metavar="K", help="rows/peaks to keep (default 10)"
-    )
-    common.add_argument("--out", metavar="DIR", help="directory for output files")
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on malformed input instead of skipping it",
-    )
 
+    def top(help_text: str) -> argparse.ArgumentParser:
+        flag = argparse.ArgumentParser(add_help=False)
+        flag.add_argument("--top", type=int, default=10, metavar="K", help=help_text)
+        return flag
+
+    ranked = [load, year_range, min_deviation, top("peaks to keep (default %(default)s)")]
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
-        "stats", parents=[common], help="per-journal paper and cited-reference counts"
+        "stats", parents=[load], help="per-journal paper and cited-reference counts"
     ).set_defaults(run=cmd_stats)
     sub.add_parser(
-        "spectrum", parents=[common], help="write rpys.csv and median.csv"
+        "spectrum", parents=[load, year_range], help="write rpys.csv and median.csv"
     ).set_defaults(run=cmd_spectrum)
     sub.add_parser(
-        "peaks", parents=[common], help="write peaks.json, print ranked peaks"
+        "peaks", parents=ranked, help="write peaks.json, print ranked peaks"
     ).set_defaults(run=cmd_peaks)
     drill = sub.add_parser(
-        "drill", parents=[common], help="author/work shares for one referenced year"
+        "drill",
+        parents=[load, top("rows to keep (default %(default)s); --author does not read it")],
+        help="author/work shares for one referenced year",
     )
     drill.add_argument("--year", type=int, required=True, help="referenced year to profile")
     drill.add_argument(
         "--author", help="restrict to one first author's works, named as in the author rows"
     )
     drill.set_defaults(run=cmd_drill)
-    plot = sub.add_parser("plot", parents=[common], help="write spectrogram.svg")
-    plot.set_defaults(run=cmd_plot)
+    sub.add_parser("plot", parents=ranked, help="write spectrogram.svg").set_defaults(run=cmd_plot)
     return parser
 
 
@@ -150,28 +157,28 @@ def _parse_year_range(text: str) -> tuple[int, int]:
 
 
 def _checked(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the flags (every exit-2 flag error) and normalize them in place.
+    """Check the subcommand's flags (every exit-2 flag error) and normalize them in place.
 
-    Blank inputs are dropped, journals become a set of names, the range
-    ``(lo, hi)`` or None, the format a ``load_export`` layout name, and
-    drill's author its ``key_token`` form.
+    Blank inputs are dropped, journals become a set of ``key_token`` names,
+    the range ``(lo, hi)`` or None, the format a ``load_export`` layout name,
+    and drill's author its ``key_token`` form.
     """
     args.input = [p for p in args.input if p.strip()]
     if not args.input:
         raise CliError("at least one --input path is required")
-    if args.top < 1:
+    if "top" in args and args.top < 1:
         raise CliError("--top must be at least 1")
-    if not math.isfinite(args.min_deviation) or args.min_deviation < 0:
+    if "min_deviation" in args and not 0 <= args.min_deviation < math.inf:
         raise CliError("--min-deviation must be a finite non-negative number")
     if args.journals is not None:
-        args.journals = {j.strip() for j in args.journals.split(",") if j.strip()}
+        args.journals = {key_token(j) for j in args.journals.split(",")} - {""}
         if not args.journals:
             raise CliError("--journals must name at least one source title")
-    args.year_range = _parse_year_range(args.year_range) if args.year_range else None
+    if "year_range" in args:
+        args.year_range = _parse_year_range(args.year_range) if args.year_range else None
     args.format = _FMT_BY_FLAG[args.format]
-    year = getattr(args, "year", MIN_RPY)  # drill's flag
-    if not MIN_RPY <= year <= MAX_RPY:
-        raise CliError(f"invalid --year {year}: years must lie within {MIN_RPY}:{MAX_RPY}")
+    if "year" in args and not MIN_RPY <= args.year <= MAX_RPY:
+        raise CliError(f"invalid --year {args.year}: years must lie within {MIN_RPY}:{MAX_RPY}")
     author = getattr(args, "author", None)  # drill's flag
     if author is not None:
         args.author = key_token(author)
@@ -241,7 +248,7 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
 
 
 def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
-    """Load, count, smooth and rank peaks.
+    """Load, count, smooth and, for ``peaks`` and ``plot``, rank peaks.
 
     With no usable year the series is None and the peak list empty; the
     renderers turn that into header-only tables and a bare chart.
@@ -251,7 +258,8 @@ def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None
         print("no cited references with usable years")
         return spectrum, None, []
     series = median_deviation(spectrum)
-    return spectrum, series, detect_peaks(series, args.min_deviation, args.top)
+    peaks = detect_peaks(series, args.min_deviation, args.top) if "min_deviation" in args else []
+    return spectrum, series, peaks
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rpys.cli import main
+from rpys import cli
+from rpys.cli import build_parser, main
 
 from conftest import citing_record, tagged_export
 
@@ -25,6 +27,16 @@ _SUBCOMMANDS = {
     "drill": ["drill", "--year", "1904"],
     "plot": ["plot"],
 }
+_LOAD_FLAGS = {"--input", "--format", "--journals", "--out", "--strict"}
+# The long flags each subcommand takes: 35 slots in all.
+_LONG_FLAGS = {
+    "stats": _LOAD_FLAGS,
+    "spectrum": _LOAD_FLAGS | {"--range"},
+    "peaks": _LOAD_FLAGS | {"--range", "--min-deviation", "--top"},
+    "drill": _LOAD_FLAGS | {"--top", "--year", "--author"},
+    "plot": _LOAD_FLAGS | {"--range", "--min-deviation", "--top"},
+}
+_NO_JOURNALS = "--journals must name at least one source title"
 
 
 def lines_for_counts(counts_by_year: dict[int, int]) -> list[str]:
@@ -179,6 +191,16 @@ class TestSpectrumCommand:
         for line in (out / "median.csv").read_text(encoding="utf-8").splitlines()[1:]:
             _, n_cr, median5, deviation = line.split(",")
             assert float(n_cr) - float(median5) == float(deviation)
+
+    def test_ranks_no_peaks(self, spike_export, tmp_path, monkeypatch):
+        calls = []
+        rank = cli.detect_peaks
+        monkeypatch.setattr(cli, "detect_peaks", lambda *args: calls.append(args) or rank(*args))
+        out = ["--input", spike_export, "--out", str(tmp_path / "out")]
+        assert main(["spectrum", *out]) == 0
+        assert calls == []
+        assert main(["peaks", *out]) == 0
+        assert len(calls) == 1
 
 
 class TestPeaksCommand:
@@ -438,18 +460,28 @@ class TestFlagsAndErrors:
             assert main(argv) == 2, value
 
     @pytest.mark.parametrize(
-        "command", [["stats"], ["spectrum"], ["peaks"], ["drill", "--year", "1905"], ["plot"]]
-    )
-    @pytest.mark.parametrize(
-        "flags, message",
+        "command, flags, message",
         [
-            (["--input", " "], "at least one --input path is required"),
-            (["--journals", " , "], "--journals must name at least one source title"),
-            (["--top", "0"], "--top must be at least 1"),
-            (["--min-deviation=-1"], "--min-deviation must be a finite non-negative number"),
-            (["--range", "1:2"], "invalid --range '1:2': years must lie within 1000:2100"),
+            pytest.param(command, flags, message, id=f"{case}-command{i}")
+            for case, flags, message in [
+                ("input", ["--input", " "], "at least one --input path is required"),
+                ("journals", ["--journals", " , "], _NO_JOURNALS),
+                ("journals-punctuation", ["--journals", "..."], _NO_JOURNALS),
+                ("top", ["--top", "0"], "--top must be at least 1"),
+                (
+                    "min-deviation",
+                    ["--min-deviation=-1"],
+                    "--min-deviation must be a finite non-negative number",
+                ),
+                (
+                    "range",
+                    ["--range", "1:2"],
+                    "invalid --range '1:2': years must lie within 1000:2100",
+                ),
+            ]
+            for i, command in enumerate(_SUBCOMMANDS.values())
+            if flags[0].split("=")[0] in _LONG_FLAGS[command[0]]
         ],
-        ids=["input", "journals", "top", "min-deviation", "range"],
     )
     def test_every_flag_check_exits_two(
         self, spike_export, tmp_path, capsys, command, flags, message
@@ -458,6 +490,45 @@ class TestFlagsAndErrors:
         inputs = [] if flags[0] == "--input" else ["--input", spike_export]
         assert main([*command, *inputs, *flags, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"rpys: {message}\n")
+        assert not out.exists()
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        taken = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert taken == _LONG_FLAGS
+        assert [len(taken[name]) for name in _SUBCOMMANDS] == [5, 6, 8, 8, 8]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param(command, flag, id=f"{name}-{flag.split('=')[0][2:]}")
+            for name, command in _SUBCOMMANDS.items()
+            for flag in ("--range=1950:1960", "--min-deviation=1", "--top=5")
+            if flag.split("=")[0] not in _LONG_FLAGS[name]
+        ],
+    )
+    def test_flag_the_subcommand_does_not_take_exits_two(
+        self, spike_export, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the flags were parsed")
+
+        monkeypatch.setattr(cli, "load_export", unread)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", spike_export, flag, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -732,7 +803,8 @@ def test_main_only_returns_exit_codes(
         tmp_path / "gen.txt", [citing_record("WOS:1", year=citing_year, crs=crs)]
     )
     argv = [command, "--input", export, "--out", str(tmp_path / "out")]
-    argv += [f"--min-deviation={min_deviation}", f"--top={top}"]
+    if command != "spectrum":
+        argv += [f"--min-deviation={min_deviation}", f"--top={top}"]
     if year_range is not None:
         argv.append(f"--range={year_range}")
     assert main(argv) in (0, 1, 2)
