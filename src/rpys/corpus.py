@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -77,21 +77,58 @@ class RefKey(NamedTuple):
         return ", ".join(parts)
 
 
+@dataclass(frozen=True, slots=True)
+class AuthorShare:
+    name: str
+    count: int
+    share: float
+
+
+@dataclass(frozen=True, slots=True)
+class WorkShare:
+    key: RefKey
+    count: int
+    share: float
+
+
+def round_share(count: int, total: int) -> float:
+    """Percentage share rounded to one decimal, halves away from zero.
+
+    Integer arithmetic throughout: share reporting must not depend on
+    binary float rounding (13/24 is 54.1666..%, reported 54.2).
+    """
+    if total <= 0:
+        raise ValueError("share denominator must be positive")
+    if count < 0:
+        raise ValueError("share numerator must be non-negative")
+    return ((2000 * count + total) // (2 * total)) / 10.0
+
+
 class YearWorks(NamedTuple):
-    """A year's references counted, with ``(item, count)`` rows by count
-    descending then item; works of key author ``UNKNOWN`` are ``unattributed``."""
+    """A year's drill rows, each with its share of ``total``.
+
+    ``authors`` and ``works`` run by count descending then name or key;
+    ``works_by_key`` holds the same work rows by key, so one author's works
+    are adjacent.  Works of key author ``UNKNOWN`` are counted in
+    ``unattributed`` and have no author row.
+    """
 
     total: int
     unattributed: int
-    authors: tuple[tuple[str, int], ...]
-    works: tuple[tuple[RefKey, int], ...]
+    authors: tuple[AuthorShare, ...]
+    works: tuple[WorkShare, ...]
+    works_by_key: tuple[WorkShare, ...]
 
 
-def _ranked(counts: Counter) -> tuple:
-    """(item, count) pairs by count descending then item ascending."""
+def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
+    """``counts`` as ``row_type`` rows with shares of ``total``: by count
+    descending then item, and by item."""
     items = sorted(counts)
-    items.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay by item
-    return tuple(zip(items, map(counts.__getitem__, items)))
+    shares = {n: round_share(n, total) for n in set(counts.values())}  # few distinct counts
+    rows = [row_type(item, n, shares[n]) for item, n in zip(items, map(counts.__getitem__, items))]
+    by_item = tuple(rows)
+    rows.sort(key=attrgetter("count"), reverse=True)  # stable, so ties stay by item
+    return tuple(rows), by_item
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,11 +207,12 @@ class Corpus:
         return {}
 
     def year_works(self, year: int) -> YearWorks:
-        """``year``'s drill memo: its works and key authors, counted and ranked in full.
+        """``year``'s drill memo: every author and work row, with shares, ranked in full.
 
         Built on the first request for ``year`` from :meth:`year_lines`,
-        parsing and keying each distinct string once, and kept.  A string
-        has one year, so none is parsed or keyed twice per corpus.
+        parsing and keying each distinct string once, and kept, so a later
+        query of the year slices finished rows.  A string has one year, so
+        none is parsed or keyed twice per corpus.
         """
         entry = self._works_by_year.get(year)
         if entry is None:
@@ -185,7 +223,9 @@ class Corpus:
                 works[key] = works.get(key, 0) + n
                 authors[key.author] = authors.get(key.author, 0) + n
             unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
-            entry = YearWorks(works.total(), unattributed, _ranked(authors), _ranked(works))
+            total = works.total()
+            author_rows, _ = _ranked(AuthorShare, authors, total)
+            entry = YearWorks(total, unattributed, author_rows, *_ranked(WorkShare, works, total))
             self._works_by_year[year] = entry
         return entry
 

@@ -4,16 +4,22 @@ Given a referenced publication year (typically a detected peak), these
 queries answer "who and what drives the citations to that year".  The
 share denominator is ALL references to that year, including ones whose
 work key has no author; those appear as an explicit unattributed count
-rather than silently shrinking the denominator.  A query slices its year's
-ranked rows from :meth:`Corpus.year_works`, built on the year's first
-query, so a string is keyed once per corpus and a year ranked once.
+rather than silently shrinking the denominator.  The year's first query
+builds every author and work row with its share in :meth:`Corpus.year_works`,
+so a string is keyed once per corpus and a year ranked once.  Every query
+reads those finished rows: a drill slices them, and a breakdown builds only
+its author's rows, with shares within the author.  :class:`AuthorShare`,
+:class:`WorkShare` and :func:`round_share` live in :mod:`rpys.corpus`, which
+builds the rows, and are re-exported here.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .corpus import Corpus, RefKey
+from .corpus import AuthorShare, Corpus, WorkShare, round_share
 from .spectrum import Peak
 from .textnorm import UNKNOWN_AUTHOR
 
@@ -27,20 +33,6 @@ __all__ = [
     "author_breakdown",
     "profile_all_peaks",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class AuthorShare:
-    name: str
-    count: int
-    share: float
-
-
-@dataclass(frozen=True, slots=True)
-class WorkShare:
-    key: RefKey
-    count: int
-    share: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,22 +56,7 @@ class AuthorWorkBreakdown:
     rows: tuple[WorkShare, ...]
 
 
-def round_share(count: int, total: int) -> float:
-    """Percentage share rounded to one decimal, halves away from zero.
-
-    Integer arithmetic throughout: share reporting must not depend on
-    binary float rounding (13/24 is 54.1666..%, reported 54.2).
-    """
-    if total <= 0:
-        raise ValueError("share denominator must be positive")
-    if count < 0:
-        raise ValueError("share numerator must be non-negative")
-    return ((2000 * count + total) // (2 * total)) / 10.0
-
-
-def _shares(row_type, rows, total: int) -> tuple:
-    """One ``row_type`` row per ``(item, count)`` pair, with its share of ``total``."""
-    return tuple(row_type(item, count, round_share(count, total)) for item, count in rows)
+_key_author, _count = attrgetter("key.author"), attrgetter("count")
 
 
 def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
@@ -97,8 +74,8 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     return YearProfile(
         year=year,
         total_refs=memo.total,
-        author_rows=_shares(AuthorShare, memo.authors[:top_k], memo.total),
-        work_rows=_shares(WorkShare, memo.works[:top_k], memo.total),
+        author_rows=memo.authors[:top_k],
+        work_rows=memo.works[:top_k],
         unattributed=memo.unattributed,
     )
 
@@ -107,16 +84,22 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     """One author's works cited in one year, shares within the author.
 
     The works kept are those whose ``RefKey.author`` is ``author`` (the form
-    key_token yields and drill_year reports), in their order in the year's
-    ranked works, so nothing is sorted again.  An author absent in that
-    year yields an empty breakdown.
+    key_token yields and drill_year reports): one run of the year's works by
+    key, found by bisection and ranked by count, ties by key as in the
+    year's ranking.  An author absent in that year yields an empty breakdown.
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    rows = [row for row in corpus.year_works(year).works if row[0].author == author]
-    total = sum(count for _, count in rows)
+    works = corpus.year_works(year).works_by_key
+    start = bisect_left(works, author, key=_key_author)
+    run = works[start : bisect_right(works, author, start, key=_key_author)]
+    rows = sorted(run, key=_count, reverse=True)  # stable, so ties stay by key
+    total = sum(map(_count, rows))
     return AuthorWorkBreakdown(
-        author=author, year=year, total_refs=total, rows=_shares(WorkShare, rows, total)
+        author=author,
+        year=year,
+        total_refs=total,
+        rows=tuple(WorkShare(row.key, row.count, round_share(row.count, total)) for row in rows),
     )
 
 

@@ -6,6 +6,9 @@ Two export layouts are supported:
   tag followed by one space and a value, values continued on lines
   indented by exactly three spaces, each record terminated by ``ER`` and
   the whole file by ``EF``.  ``FN``/``VR`` file-header lines are skipped.
+  After ``EF`` only blank lines may follow, and then the ``FN`` line (after
+  any byte-order mark) of a next export, so exports joined by ``cat`` read
+  as one.
   Inside an open record a continuation line takes priority over every
   other reading, so a continued value that reads ``ER`` ends nothing.
   The reader splits the text once, before each line that is not a
@@ -192,9 +195,9 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
     tags: dict[str, list[str]] | None = None  # the open record, if any
     values: list[str] = []  # the open record's current field
     skipping = False  # resyncing to the next ER or EF after a malformed line
+    ended = False  # past an EF, before the FN header of a concatenated export
     lineno = 1  # of the chunk's first line
-    chunks = _FIELD_BREAK.split(text)
-    for idx, chunk in enumerate(chunks):
+    for chunk in _FIELD_BREAK.split(text):
         # One line, then the continuation lines after it, without their
         # indent; most chunks are one line.
         if "\n" in chunk:
@@ -204,6 +207,11 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         stripped = line.rstrip()
         if not stripped:
             pass
+        elif ended:
+            if line.lstrip("\ufeff")[:3] not in ("FN", "FN "):
+                defect(lineno, "content after EF terminator")
+                return records
+            ended = False
         elif stripped == "ER":
             if tags is not None:
                 records.append(_finalize_record(tags))
@@ -213,13 +221,7 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         elif stripped == "EF":
             if tags is not None:
                 defect(lineno, "record not terminated by ER before EF")
-            # Only blank lines may follow the file terminator.
-            rest = "\n".join(chunks[idx:]).split("\n")[1:]
-            for lineno, line in enumerate(rest, start=lineno + 1):
-                if line.strip():
-                    defect(lineno, "content after EF terminator")
-                    break
-            return records
+            tags, skipping, ended = None, False, True
         elif skipping:
             pass
         elif (tag := line[:2]) in _TAGS and (len(line) == 2 or line[2] == " "):
@@ -242,6 +244,9 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         elif more and not skipping:
             for offset, cont in enumerate(more, start=1):
                 if cont.strip():
+                    if ended:
+                        defect(lineno + offset, "content after EF terminator")
+                        return records
                     defect(lineno + offset, "expected a tag line")
                     skipping = True
                     break

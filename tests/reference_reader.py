@@ -1,7 +1,9 @@
-"""Reference export readers: the earlier per-line readers, kept verbatim.
+"""Reference export readers: the earlier per-line readers.
 
-They split the text into a list of lines and walk it one line at a
-time.  ``rpys.wos`` reads tagged text one field at a time instead; the
+They are kept verbatim but for one rule both readers follow: after an
+``EF`` terminator, blank lines and then the ``FN`` header of a next export
+may follow.  They split the text into a list of lines and walk it one line
+at a time.  ``rpys.wos`` reads tagged text one field at a time instead; the
 differential tests in ``test_wos_parser.py`` hold its readers to these.
 """
 
@@ -97,12 +99,18 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
         elif stripped == "EF":
             if tags is not None:
                 defect(lineno, "record not terminated by ER before EF")
-            # Only blank lines may follow the file terminator.
+            # Only blank lines may follow the file terminator, then the FN
+            # header (maybe after a byte-order mark) of a concatenated export.
             for lineno, line in numbered:
                 if line.strip():
-                    defect(lineno, "content after EF terminator")
                     break
-            return records
+            else:
+                return records
+            match = _TAG_LINE.match(line.lstrip("\ufeff"))
+            if not (match and match.group(1) == "FN"):
+                defect(lineno, "content after EF terminator")
+                return records
+            tags, skipping = None, False
         elif skipping:
             continue
         elif match := _TAG_LINE.match(line):

@@ -590,6 +590,29 @@ class TestFlagsAndErrors:
         captured = capsys.readouterr()
         assert "malformed" in captured.err
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_concatenated_exports_read_as_one(self, tmp_path, capsys, strict, bom):
+        # `cat a.txt b.txt > ab.txt`: each export keeps its own FN ... EF
+        # envelope (and, as downloaded, maybe a byte-order mark).
+        sys.path.insert(0, str(Path(__file__).parents[1] / "scripts"))
+        try:
+            import demo_pipeline
+        finally:
+            sys.path.pop(0)
+        export = demo_pipeline.synthesize_export
+        parts = [bom + export(1, 30), bom + export(2, 20)]
+        for name, text in [("a.txt", parts[0]), ("b.txt", parts[1]), ("ab.txt", "".join(parts))]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        assert main(["stats", "--input", str(tmp_path / "ab.txt"), *flags]) == 0
+        joined = capsys.readouterr()
+        assert joined.err == ""
+        assert joined.out.splitlines()[-1].split() == ["Total", "50", "1,368"]
+        files = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
+        assert capsys.readouterr() == joined
+
     def test_unrecognized_format_exits_two(self, tmp_path, capsys):
         # Every export starts with a header line, so an empty or blank
         # file is a failed export, not an empty corpus.

@@ -344,7 +344,7 @@ _lines_st = st.lists(
         st.sampled_from(_DRILL_LINES),
         st.builds(
             "{} A, {}, SRC {}".format,
-            st.sampled_from("PQR"),
+            st.sampled_from(["P", "P A", "P AB", "PA"]),
             st.sampled_from([1905, 1962]),
             st.sampled_from("XY"),
         ),
@@ -492,9 +492,10 @@ def test_drilled_year_is_not_read_again(monkeypatch, drill_corpus, index_first):
 
 
 def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
-    # A year's first drill tallies and ranks its works and authors in full;
-    # every later query of the year slices that ranking, at any top_k, so it
-    # builds no Counter and ranks nothing.
+    # A year's first drill tallies and ranks its works and authors in full and
+    # builds every share row; every later query of the year slices those rows,
+    # at any top_k, so it builds no Counter, ranks nothing and builds no row.
+    # A breakdown builds its author's rows only, with shares within the author.
     calls = Counter()
     counter_init, ranked = Counter.__init__, rpys.corpus._ranked
 
@@ -502,18 +503,34 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
         calls["Counter"] += 1
         counter_init(self, *args, **kwargs)
 
-    def counted_ranked(counts):
+    def counted_ranked(*args):
         calls["_ranked"] += 1
-        return ranked(counts)
+        return ranked(*args)
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
 
     first = drill_year(drill_corpus, 1905, 1)
     monkeypatch.setattr(Counter, "__init__", counted_init)
     monkeypatch.setattr(rpys.corpus, "_ranked", counted_ranked)
+    for row_type in (AuthorShare, WorkShare):
+        monkeypatch.setattr(row_type, "__init__", counted(row_type.__name__, row_type.__init__))
+    for module in (rpys.corpus, rpys.profiles):
+        monkeypatch.setattr(module, "round_share", counted("round_share", round_share))
     profiles = [drill_year(drill_corpus, 1905, top_k) for top_k in _TOP_KS]
-    rows = profiles[-1].author_rows
-    breakdowns = [author_breakdown(drill_corpus, row.name, 1905) for row in rows]
     peaks = profile_all_peaks(drill_corpus, [Peak(1905, Fraction(1), 100, 1)], 3)
     assert not calls
+    rows = profiles[-1].author_rows
+    breakdowns = []
+    for row in rows:
+        breakdowns.append(author_breakdown(drill_corpus, row.name, 1905))
+        built = len(breakdowns[-1].rows)
+        assert calls == {"WorkShare": built, "round_share": built}
+        calls.clear()
     monkeypatch.undo()
 
     assert profiles[0] == first
@@ -521,6 +538,9 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
     assert [len(p.work_rows) for p in profiles] == [1, 2, 3, 10, 70]
     assert peaks == [profiles[2]]
     assert sum(b.total_refs for b in breakdowns) == 100 - first.unattributed
+    assert sum(len(b.rows) for b in breakdowns) == 70 - sum(
+        row.key.author == UNKNOWN_AUTHOR for row in profiles[-1].work_rows
+    )
 
 
 _rank_counts = st.one_of(
@@ -543,9 +563,14 @@ _rank_counts = st.one_of(
 @given(_rank_counts)
 def test_ranked_matches_a_keyed_sort(counts):
     # Counts of 1..3 tie often, so most rows are ordered by their item.
-    assert rpys.corpus._ranked(counts) == tuple(
-        sorted(counts.items(), key=lambda p: (-p[1], p[0]))
+    total = counts.total()
+    ranked, by_item = rpys.corpus._ranked(WorkShare, counts, total)
+    assert ranked == tuple(
+        WorkShare(item, n, round_share(n, total))
+        for item, n in sorted(counts.items(), key=lambda p: (-p[1], p[0]))
     )
+    assert by_item == tuple(sorted(ranked, key=lambda row: row.key))
+    assert sorted(map(id, by_item)) == sorted(map(id, ranked))
 
 
 _TOP_KS = [1, 2, 3, 10, 1000]

@@ -98,6 +98,21 @@ class TestTaggedParsing:
         with pytest.raises(ExportParseError):
             parse_export(text, strict=True)
 
+    def test_concatenated_exports(self):
+        # Blank lines may sit between one export's EF and the next one's FN.
+        first = tagged_export([citing_record("WOS:1"), citing_record("WOS:2")])
+        second = tagged_export([citing_record("WOS:3")])
+        for text in (first + second, first + "\n \n" + second, first + "\ufeff" + second):
+            records, diag = parse_export(text, strict=True)
+            assert [r.first("UT") for r in records] == ["WOS:1", "WOS:2", "WOS:3"]
+            assert diag.malformed_records == 0
+
+    def test_ef_inside_record_then_next_export(self):
+        text = "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nEF\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n"
+        records, diag = parse_export(text)
+        assert [r.first("UT") for r in records] == ["WOS:2"]
+        assert diag.malformed_positions == [5]
+
     def test_blank_lines_between_records_ignored(self):
         text = tagged_export([citing_record("WOS:1"), citing_record("WOS:2")])
         spread = text.replace("ER\nPT", "ER\n\n\nPT")
@@ -186,6 +201,20 @@ _DEFECT_CASES = {
         ["WOS:1"],
         [8],
         "line 8: content after EF terminator",
+    ),
+    "content_between_exports": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n\nVR 1.0\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n",
+        ["WOS:1"],
+        [8],
+        "line 8: content after EF terminator",
+    ),
+    "continuation_after_ef": (
+        TAGGED,
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n   x\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n",
+        ["WOS:1"],
+        [7],
+        "line 7: content after EF terminator",
     ),
     "end_of_input_inside_record": (
         TAGGED,
@@ -811,6 +840,7 @@ _soup_line_st = st.one_of(
         ["   ", "    ", "     x", "   ER", "   EF", "   C D, 1950, Y", "   \t", "\t", "\tjunk"]
         + ["PT J", "UT WOS:1", "CR A B, 1905, X", "CR", "CR ", "ER", "ER ", " ER", "EF", "EF "]
         + ["FN WoS", "VR 1.0", "", " ", "  ", "junk", "pt J", "\ufeffPT J", "X\rY", "\x1c"]
+        + ["FN", "FN\tx", "FNx", "\ufeffFN WoS", "\ufeff\ufeffFN"]
         # tag-line near misses
         + ["AU", "AU  x", "AUx", "AU\tx", "A", "A1 x", "1A", "Au x", "\u00c91 x", "\uff21U x"]
     ),
