@@ -6,6 +6,8 @@ peak years, and drill into each peak's most-cited authors and works.
 """
 
 from .corpus import (
+    AuthorShare,
+    AuthorWorkBreakdown,
     Corpus,
     CorpusDiagnostics,
     CorpusError,
@@ -13,18 +15,14 @@ from .corpus import (
     JournalStats,
     Record,
     RefKey,
-    build_corpus,
-    corpus_stats,
-    reference_key,
-)
-from .profiles import (
-    AuthorShare,
-    AuthorWorkBreakdown,
     WorkShare,
     YearProfile,
     author_breakdown,
+    build_corpus,
+    corpus_stats,
     drill_year,
     profile_all_peaks,
+    reference_key,
     round_share,
 )
 from .spectrum import (

@@ -24,8 +24,9 @@ import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from .corpus import Corpus, CorpusError, CorpusStats, build_corpus, corpus_stats
-from .profiles import author_breakdown, drill_year
+from .corpus import (
+    Corpus, CorpusError, CorpusStats, author_breakdown, build_corpus, corpus_stats, drill_year
+)
 from .spectrum import (
     DeviationSeries,
     Peak,
@@ -393,10 +394,7 @@ def _profile_payload(profile) -> dict:
     return {
         "year": profile.year,
         "total_refs": profile.total_refs,
-        "authors": [
-            {"name": a.name, "count": a.count, "share": a.share}
-            for a in profile.author_rows
-        ],
+        "authors": [row._asdict() for row in profile.author_rows],
         "works": _works_payload(profile.work_rows),
         "unattributed": profile.unattributed,
     }

@@ -6,20 +6,36 @@ normalized (author, year, source, volume, page) tuple used as the work
 identity when counting citation shares.  No fuzzy merging is attempted:
 "ANN PHYS" and "ANN PHYS-BERLIN" stay distinct works, and grouping is by
 first author only, because that is all the WoS CR string carries.
+
+The drill-down lives here too.  Given a referenced publication year
+(typically a detected peak), :func:`drill_year`, :func:`author_breakdown`
+and :func:`profile_all_peaks` answer "who and what drives the citations
+to that year".  The share denominator is ALL references to that year,
+including ones whose work key has no author; those appear as an explicit
+unattributed count rather than silently shrinking the denominator.  The
+year's first query builds its full :class:`YearProfile`, every author and
+work row with its share, in :meth:`Corpus.year_works`, so a string is
+keyed once per corpus and a year ranked once.  Every query reads those
+finished rows: a drill slices them, and a breakdown builds only its
+author's rows, with shares within the author.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from operator import attrgetter, methodcaller
-from typing import NamedTuple
+from operator import attrgetter, itemgetter, methodcaller
+from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
 from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
+
+if TYPE_CHECKING:  # spectrum imports this module
+    from .spectrum import Peak
 
 __all__ = [
     "Record",
@@ -32,6 +48,14 @@ __all__ = [
     "reference_key",
     "build_corpus",
     "corpus_stats",
+    "AuthorShare",
+    "WorkShare",
+    "YearProfile",
+    "AuthorWorkBreakdown",
+    "round_share",
+    "drill_year",
+    "author_breakdown",
+    "profile_all_peaks",
 ]
 
 
@@ -77,15 +101,17 @@ class RefKey(NamedTuple):
         return ", ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorShare:
+class AuthorShare(NamedTuple):
+    """A first author's references to a year and their share, a plain tuple too."""
+
     name: str
     count: int
     share: float
 
 
-@dataclass(frozen=True, slots=True)
-class WorkShare:
+class WorkShare(NamedTuple):
+    """A work's references and their share, a plain tuple too."""
+
     key: RefKey
     count: int
     share: float
@@ -104,20 +130,28 @@ def round_share(count: int, total: int) -> float:
     return ((2000 * count + total) // (2 * total)) / 10.0
 
 
-class YearWorks(NamedTuple):
-    """A year's drill rows, each with its share of ``total``.
+@dataclass(frozen=True, slots=True)
+class YearProfile:
+    """Top authors and works cited for one referenced publication year."""
 
-    ``authors`` and ``works`` run by count descending then name or key;
-    ``works_by_key`` holds the same work rows by key, so one author's works
-    are adjacent.  Works of key author ``UNKNOWN`` are counted in
-    ``unattributed`` and have no author row.
-    """
-
-    total: int
+    year: int
+    total_refs: int
+    author_rows: tuple[AuthorShare, ...]
+    work_rows: tuple[WorkShare, ...]
     unattributed: int
-    authors: tuple[AuthorShare, ...]
-    works: tuple[WorkShare, ...]
-    works_by_key: tuple[WorkShare, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class AuthorWorkBreakdown:
+    """One author's cited works within one year, with within-author shares."""
+
+    author: str
+    year: int
+    total_refs: int
+    rows: tuple[WorkShare, ...]
+
+
+_key_author, _count = attrgetter("key.author"), itemgetter(1)
 
 
 def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
@@ -127,7 +161,7 @@ def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
     shares = {n: round_share(n, total) for n in set(counts.values())}  # few distinct counts
     rows = [row_type(item, n, shares[n]) for item, n in zip(items, map(counts.__getitem__, items))]
     by_item = tuple(rows)
-    rows.sort(key=attrgetter("count"), reverse=True)  # stable, so ties stay by item
+    rows.sort(key=_count, reverse=True)  # stable, so ties stay by item
     return tuple(rows), by_item
 
 
@@ -203,16 +237,20 @@ class Corpus:
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @cached_property
-    def _works_by_year(self) -> dict[int, YearWorks]:
+    def _works_by_year(self) -> dict[int, tuple[YearProfile, tuple[WorkShare, ...]]]:
         return {}
 
-    def year_works(self, year: int) -> YearWorks:
-        """``year``'s drill memo: every author and work row, with shares, ranked in full.
+    def year_works(self, year: int) -> tuple[YearProfile, tuple[WorkShare, ...]]:
+        """``year``'s drill memo: its full profile, and its work rows by key.
 
-        Built on the first request for ``year`` from :meth:`year_lines`,
-        parsing and keying each distinct string once, and kept, so a later
-        query of the year slices finished rows.  A string has one year, so
-        none is parsed or keyed twice per corpus.
+        The profile holds every author and work row with its share of all
+        the year's references, each ranked by count descending then name
+        or key; works of key author ``UNKNOWN`` are counted as unattributed
+        and have no author row.  The same work rows by key put one author's
+        works side by side.  Built on the first request for ``year`` from
+        :meth:`year_lines`, parsing and keying each distinct string once,
+        and kept, so a later query of the year slices finished rows.  A
+        string has one year, so none is parsed or keyed twice per corpus.
         """
         entry = self._works_by_year.get(year)
         if entry is None:
@@ -225,7 +263,8 @@ class Corpus:
             unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
             total = works.total()
             author_rows, _ = _ranked(AuthorShare, authors, total)
-            entry = YearWorks(total, unattributed, author_rows, *_ranked(WorkShare, works, total))
+            work_rows, works_by_key = _ranked(WorkShare, works, total)
+            entry = YearProfile(year, total, author_rows, work_rows, unattributed), works_by_key
             self._works_by_year[year] = entry
         return entry
 
@@ -345,3 +384,44 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
         total_records=sum(papers.values()),
         total_cited_refs=sum(refs.values()),
     )
+
+
+def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
+    """Most-cited first authors and works for one year.
+
+    An author row counts the works whose ``RefKey.author`` is its name, and
+    those whose key author is ``UNKNOWN`` are ``unattributed``.  Rows are the
+    first ``top_k`` of the year's ranking in :meth:`Corpus.year_works` (count
+    descending, then name/key), with shares of all references to the year.
+    A year with no references yields an empty profile.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    full = corpus.year_works(year)[0]
+    return YearProfile(
+        year, full.total_refs, full.author_rows[:top_k], full.work_rows[:top_k], full.unattributed
+    )
+
+
+def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakdown:
+    """One author's works cited in one year, shares within the author.
+
+    The works kept are those whose ``RefKey.author`` is ``author`` (the form
+    key_token yields and drill_year reports): one run of the year's works by
+    key, found by bisection and ranked by count, ties by key as in the
+    year's ranking.  An author absent in that year yields an empty breakdown.
+    """
+    if author == UNKNOWN_AUTHOR:
+        raise ValueError("cannot break down the unattributed bucket by work")
+    works = corpus.year_works(year)[1]
+    start = bisect_left(works, author, key=_key_author)
+    run = works[start : bisect_right(works, author, start, key=_key_author)]
+    rows = sorted(run, key=_count, reverse=True)  # stable, so ties stay by key
+    total = sum(map(_count, rows))
+    shares = tuple(WorkShare(key, n, round_share(n, total)) for key, n, _ in rows)
+    return AuthorWorkBreakdown(author, year, total, shares)
+
+
+def profile_all_peaks(corpus: Corpus, peaks: list[Peak], top_k: int = 10) -> list[YearProfile]:
+    """One YearProfile per peak, in ascending year order (not peak rank)."""
+    return [drill_year(corpus, year, top_k) for year in sorted(p.year for p in peaks)]

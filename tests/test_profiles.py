@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import rpys.cli
 import rpys.corpus
-import rpys.profiles
 from rpys import (
     AuthorShare,
     AuthorWorkBreakdown,
@@ -72,6 +71,14 @@ class TestRoundShare:
             round_share(1, 0)
         with pytest.raises(ValueError):
             round_share(-1, 10)
+
+
+def test_rows_are_plain_tuples_of_their_fields():
+    # Documented side effects of the named tuples, as for RefKey.
+    key = RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "891")
+    assert WorkShare(key, 3, 12.5) == (tuple(key), 3, 12.5)
+    assert AuthorShare("EINSTEIN A", 3, 12.5) == ("EINSTEIN A", 3, 12.5)
+    assert isinstance(WorkShare(key, 3, 12.5), tuple)
 
 
 class TestDrillYear:
@@ -517,10 +524,9 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
     first = drill_year(drill_corpus, 1905, 1)
     monkeypatch.setattr(Counter, "__init__", counted_init)
     monkeypatch.setattr(rpys.corpus, "_ranked", counted_ranked)
-    for row_type in (AuthorShare, WorkShare):
-        monkeypatch.setattr(row_type, "__init__", counted(row_type.__name__, row_type.__init__))
-    for module in (rpys.corpus, rpys.profiles):
-        monkeypatch.setattr(module, "round_share", counted("round_share", round_share))
+    for row_type in (AuthorShare, WorkShare):  # named tuples: a row is built by __new__
+        monkeypatch.setattr(row_type, "__new__", counted(row_type.__name__, row_type.__new__))
+    monkeypatch.setattr(rpys.corpus, "round_share", counted("round_share", round_share))
     profiles = [drill_year(drill_corpus, 1905, top_k) for top_k in _TOP_KS]
     peaks = profile_all_peaks(drill_corpus, [Peak(1905, Fraction(1), 100, 1)], 3)
     assert not calls
