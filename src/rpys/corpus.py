@@ -63,9 +63,11 @@ class CorpusError(ValueError):
     """Citing record unusable for corpus construction (strict mode only)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
-    """One citing paper with its cited-reference strings, as exported."""
+class Record(NamedTuple):
+    """One citing paper with its cited-reference strings, as exported.
+
+    A named tuple, so it is also a plain tuple of its four fields.
+    """
 
     uid: str
     journal: str

@@ -19,9 +19,12 @@ Two export layouts are supported:
 
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
-here into author / year / source / volume / page / DOI fields.  Author,
-source, volume and page are stored in the ``key_token`` form that
-:class:`rpys.corpus.RefKey` holds, so the fields are the work key's.
+here into a :class:`CitedReference` named tuple of author / year / source
+/ volume / page / DOI fields.  Author, source, volume and page are stored
+in the ``key_token`` form that :class:`rpys.corpus.RefKey` holds, so the
+fields are the work key's; ``key_token`` memoizes, so a segment repeated
+across strings is normalized about once.  A year is read by one lookup in
+a table of the strings of the years ``MIN_RPY..MAX_RPY``.
 Parsing is total on any non-blank line: lines that match nothing keep
 only their raw text.  A blank line raises ``ValueError``; both export
 readers drop blank CR lines before they reach the parser.
@@ -35,6 +38,7 @@ import string
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
 
@@ -58,6 +62,9 @@ _Defect = Callable[[int, str], None]
 # it is not read as a year.
 MIN_RPY = 1000
 MAX_RPY = 2100
+# Every segment that reads as a year, and its year: one lookup per
+# segment, and only ASCII digits match.
+_YEARS = {str(year): year for year in range(MIN_RPY, MAX_RPY + 1)}
 
 
 class UnrecognizedFormatError(ValueError):
@@ -93,14 +100,15 @@ class RawRecord:
         return " ".join(v.strip() for v in values).strip() or None
 
 
-@dataclass(frozen=True, slots=True)
-class CitedReference:
+class CitedReference(NamedTuple):
     """One cited-reference string with whatever fields could be recovered.
 
     ``raw`` and ``doi`` are verbatim.  ``first_author``, ``source``,
     ``volume`` and ``page`` are the ``key_token`` forms of their segments,
     ``None`` when that is empty (and the author also when it is ``UNKNOWN``),
     so they are the fields of the work's :class:`rpys.corpus.RefKey`.
+    A named tuple, so it is also a plain tuple, and equals one of the same
+    seven values.
     """
 
     raw: str
@@ -286,15 +294,6 @@ def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
     return records
 
 
-def _is_rpy(segment: str) -> bool:
-    return (
-        len(segment) == 4
-        and segment.isascii()
-        and segment.isdigit()
-        and MIN_RPY <= int(segment) <= MAX_RPY
-    )
-
-
 def cited_year(cr_line: str) -> int | None:
     """The year :func:`parse_cited_reference` reads, without the other fields.
 
@@ -302,12 +301,8 @@ def cited_year(cr_line: str) -> int | None:
     (1905, None)
     """
     for seg in cr_line.strip().split(", "):
-        if len(seg) != 4:  # a 4-character segment with spaces is no year either way
-            seg = seg.strip()
-        if len(seg) == 4 and seg.isdigit() and seg.isascii():
-            year = int(seg)
-            if MIN_RPY <= year <= MAX_RPY:
-                return year
+        if seg in _YEARS or (seg := seg.strip()) in _YEARS:
+            return _YEARS[seg]
     return None
 
 
@@ -315,7 +310,8 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     """Parse one cited-reference string into its fields, in one pass.
 
     The line is split on ``", "`` and each segment stripped.  The first
-    segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year.
+    segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year,
+    found by one lookup in a table of those years' strings.
     The first segment is the author, unless it is the year (an anonymous
     work).  The segment just after the year is the source, unless it is
     empty or a volume, page or DOI segment.  The first ``V<digit>...``,
@@ -341,30 +337,32 @@ def parse_cited_reference(cr_line: str) -> CitedReference:
     if not stripped:
         raise ValueError("cited-reference line is empty")
     author = year = year_idx = source = volume = page = doi = None
-    for idx, seg in enumerate([s.strip() for s in stripped.split(", ")]):
+    for idx, seg in enumerate(stripped.split(", ")):
+        seg = seg.strip()
         # Each field keeps its first value; a taken segment fills no other.
-        if year is None and _is_rpy(seg):
-            year, year_idx = int(seg), idx
+        if year is None and seg in _YEARS:
+            year, year_idx = _YEARS[seg], idx
         elif idx == 0:
             author = key_token(seg)
-        elif seg[:1] == "V" and seg[1:2].isdigit():
+        elif (head := seg[:1]) == "V" and seg[1:2].isdigit():
             volume = volume or key_token(seg[1:])  # never empty: it starts with a digit
-        elif seg[:1] == "P" and seg[1:].isalnum():
+        elif head == "P" and seg[1:].isalnum():
             page = page or key_token(seg[1:])  # never empty: alphanumeric
-        elif seg.startswith("DOI "):
+        elif head == "D" and seg.startswith("DOI "):
             while seg.startswith("DOI "):  # the prefix is sometimes repeated
                 seg = seg[4:]
             doi = doi or seg.strip()
         elif seg and idx - 1 == year_idx:
             source = key_token(seg)
+    # Positional, in field order: keywords add about 15% to a warm parse.
     return CitedReference(
-        raw=cr_line,
-        first_author=None if author in ("", UNKNOWN_AUTHOR) else author,
-        year=year,
-        source=source or None,
-        volume=volume,
-        page=page,
-        doi=doi,
+        cr_line,
+        None if author in ("", UNKNOWN_AUTHOR) else author,
+        year,
+        source or None,
+        volume,
+        page,
+        doi,
     )
 
 

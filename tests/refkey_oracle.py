@@ -5,15 +5,20 @@ named tuple now, replaced; ``test_corpus.py`` holds its ordering, equality
 and ``display()`` to this one.  ``normalize_author`` and ``reference_key``
 are the author normalizer the cited-reference parser used and the keying
 that ran ``key_token`` again on the parsed fields; ``test_wos_parser.py``
-holds the one-pass parse-then-key path to them.
+holds the one-pass parse-then-key path to them.  ``key_token`` here is
+the normalizer without the memo the parser calls it through, so no cached
+form passes from the code under test to its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rpys.textnorm import UNKNOWN_AUTHOR, key_token
+from rpys import textnorm
+from rpys.textnorm import UNKNOWN_AUTHOR
 from rpys.wos import CitedReference
+
+key_token = textnorm.key_token.__wrapped__
 
 
 @dataclass(frozen=True, order=True, slots=True)

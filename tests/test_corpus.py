@@ -63,6 +63,12 @@ class TestKeyToken:
         once = key_token(raw)
         assert key_token(once) == once
 
+    @settings(max_examples=200)
+    @given(st.text(max_size=40))
+    def test_memo_matches_unmemoized(self, raw):
+        # Once to fill the memo, once to read it.
+        assert key_token(raw) == key_token(raw) == refkey_oracle.key_token(raw)
+
 
 class TestReferenceKey:
     LINE = "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891"
@@ -237,6 +243,17 @@ def parse_calls(monkeypatch):
     monkeypatch.setattr(rpys.wos, "parse_cited_reference", counting)
     monkeypatch.setattr(rpys.corpus, "parse_cited_reference", counting)
     return calls
+
+
+def test_record_is_a_plain_tuple_of_its_fields():
+    # Documented side effects of the named tuple, as for RefKey.
+    record = Record(uid="WOS:1", journal="J", pub_year=2010, cited_refs=("A B, 1905, X",))
+    assert isinstance(record, tuple)
+    assert record == ("WOS:1", "J", 2010, ("A B, 1905, X",))
+    assert record == Record("WOS:1", "J", 2010, ("A B, 1905, X",))
+    with pytest.raises(AttributeError):
+        record.pub_year = 2011
+    assert record.pub_year == 2010
 
 
 class TestBuildCorpus:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import dataclasses
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +20,7 @@ from rpys import (
     parse_export,
     reference_key,
 )
-from rpys.textnorm import key_token
+from rpys import textnorm
 from rpys.wos import (
     MAX_RPY,
     MIN_RPY,
@@ -374,6 +373,21 @@ class TestCitedReferenceGrammar:
         with pytest.raises(ValueError):
             parse_cited_reference("   ")
 
+    def test_is_a_plain_tuple_of_its_fields(self):
+        # Documented side effects of the named tuple, as for RefKey.
+        line = "EINSTEIN A, 1905, ANN PHYS, V17, P891"
+        ref = parse_cited_reference(line)
+        fields = (line, "EINSTEIN A", 1905, "ANN PHYS", "17", "891", None)
+        assert isinstance(ref, tuple) and ref == fields
+        assert ref == CitedReference(
+            raw=line, first_author="EINSTEIN A", year=1905, source="ANN PHYS", volume="17",
+            page="891",
+        )
+        assert CitedReference(raw="X") == ("X", None, None, None, None, None, None)
+        with pytest.raises(AttributeError):
+            ref.year = 1906
+        assert ref.year == 1905
+
     @settings(max_examples=300)
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
     def test_total_on_arbitrary_text(self, line):
@@ -495,11 +509,10 @@ def _key_form(ref: CitedReference) -> CitedReference:
     each ``None`` when empty, and the author also when it is ``UNKNOWN``."""
 
     def token(value: str | None) -> str | None:
-        return (key_token(value) or None) if value else None
+        return (refkey_oracle.key_token(value) or None) if value else None
 
     author = token(ref.first_author)
-    return dataclasses.replace(
-        ref,
+    return ref._replace(
         first_author=None if author == UNKNOWN_AUTHOR else author,
         source=token(ref.source),
         volume=token(ref.volume),
@@ -664,6 +677,75 @@ class TestCitedYear:
     @given(_shaped_cr_st())
     def test_matches_parse_on_common_shapes(self, line):
         assert cited_year(line) == parse_cited_reference(line).year
+
+
+# The year predicate the year table replaced, on the stripped segment.
+def _predicate_year(cr_line: str) -> int | None:
+    for seg in cr_line.strip().split(", "):
+        if _is_rpy(seg.strip()):
+            return int(seg)
+    return None
+
+
+# Years in other digits (int() reads them), outside the window, with a
+# leading zero or sign, and padded with spaces, tabs or NBSP.
+_YEAR_LOOKALIKES = [
+    "１９０５", "١٩٠٥", "0999", "01905", "+905", "999", "1000", "2100", "2101", "1905", "19０5",
+    "-905", "1905.", "1_905",
+]
+_pad_st = st.sampled_from(["", " ", "  ", "\t", "\xa0", " \xa0"])
+_year_segment_st = st.builds(
+    lambda lead, seg, trail: lead + seg + trail,
+    _pad_st,
+    st.one_of(
+        st.sampled_from(_YEAR_LOOKALIKES),
+        st.integers(0, 9999).map("{:04d}".format),
+        st.integers(-99, 99999).map(str),
+    ),
+    _pad_st,
+)
+_year_soup_st = (
+    st.lists(st.one_of(_year_segment_st, _segment_st), min_size=1, max_size=6)
+    .map(", ".join)
+    .filter(str.strip)
+)
+
+
+class TestYearRead:
+    """Both year readers agree with the predicate the year table replaced."""
+
+    @settings(max_examples=1000)
+    @given(_year_soup_st)
+    @example("X, \xa01905\xa0, Y")
+    @example("\t2100")
+    @example("１９０５, 1000")
+    def test_matches_predicate_on_year_soup(self, line):
+        assert cited_year(line) == parse_cited_reference(line).year == _predicate_year(line)
+
+    @pytest.mark.parametrize("zero", ["０", "٠", "۰", "०"])
+    def test_non_ascii_digits_refused(self, zero):
+        # int() reads every one of these as the year; the table reads none.
+        to_other = str.maketrans("0123456789", "".join(chr(ord(zero) + d) for d in range(10)))
+        for year in range(MIN_RPY, MAX_RPY + 1):
+            other = str(year).translate(to_other)
+            assert int(other) == year
+            line = f"EINSTEIN A, {other}, ANN PHYS"
+            assert cited_year(line) is None and parse_cited_reference(line).year is None
+
+
+class TestKeyTokenMemo:
+    def test_memo_is_bounded(self):
+        info = textnorm.key_token.cache_info()
+        assert info.maxsize == textnorm.KEY_TOKEN_MEMO_SIZE > 0  # None is unbounded
+        assert info.currsize <= info.maxsize
+
+    @settings(max_examples=500)
+    @given(_cr_line_st)
+    def test_cleared_and_warm_memo_parse_alike(self, line):
+        textnorm.key_token.cache_clear()
+        cold = parse_cited_reference(line)
+        assert parse_cited_reference(line) == cold
+        assert cold == _key_form(_two_pass_parse(line))
 
 
 @settings(max_examples=1000)
