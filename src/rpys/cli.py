@@ -4,8 +4,10 @@ Artifacts (rpys.csv, median.csv, peaks.json, spectrogram.svg, per-year
 profile JSON) are byte-deterministic: no timestamps, fixed number
 formatting, LF line endings, sorted input expansion.  Exit codes: 0
 success, 1 the run found nothing (no records, no peaks, empty year), 2 a
-bad flag (checked before loading; drill's --author UNKNOWN too) or an I/O
-failure on any file or on stdout: one ``rpys:`` stderr line, no traceback.
+bad flag (drill's --author UNKNOWN too) or an I/O failure on any file or
+on stdout: one ``rpys:`` stderr line, no traceback.  Each invocation loads
+its inputs once, in ``main``, after every flag check; a subcommand is a
+function of its checked flags and that one corpus.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from .corpus import (
-    Corpus, CorpusError, CorpusStats, author_breakdown, build_corpus, corpus_stats, drill_year
-)
+from .corpus import Corpus, CorpusError, author_breakdown, build_corpus, corpus_stats, drill_year
 from .spectrum import (
     DeviationSeries,
     Peak,
@@ -157,12 +157,11 @@ def _parse_year_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _checked(args: argparse.Namespace) -> argparse.Namespace:
+def _checked(args: argparse.Namespace) -> None:
     """Check the subcommand's flags (every exit-2 flag error) and normalize them in place.
 
     Blank inputs are dropped, journals become a set of ``key_token`` names,
-    the range ``(lo, hi)`` or None, the format a ``load_export`` layout name,
-    and drill's author its ``key_token`` form.
+    the range ``(lo, hi)`` or None, and drill's author its ``key_token`` form.
     """
     args.input = [p for p in args.input if p.strip()]
     if not args.input:
@@ -177,7 +176,6 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
             raise CliError("--journals must name at least one source title")
     if "year_range" in args:
         args.year_range = _parse_year_range(args.year_range) if args.year_range else None
-    args.format = _FMT_BY_FLAG[args.format]
     if "year" in args and not MIN_RPY <= args.year <= MAX_RPY:
         raise CliError(f"invalid --year {args.year}: years must lie within {MIN_RPY}:{MAX_RPY}")
     author = getattr(args, "author", None)  # drill's flag
@@ -190,7 +188,6 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
             raise CliError(f"--author {author!r} is not valid text")
         if args.author == UNKNOWN_AUTHOR:
             raise CliError("cannot break down the unattributed bucket by work")
-    return args
 
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
@@ -230,7 +227,7 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     malformed = 0
     for path in _expand_inputs(args.input):
         try:
-            recs, diag, _ = load_export(path, args.format, strict=args.strict)
+            recs, diag, _ = load_export(path, _FMT_BY_FLAG[args.format], strict=args.strict)
         except (OSError, UnrecognizedFormatError, ExportParseError) as exc:  # none names the file
             raise CliError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
         records.extend(recs)
@@ -248,13 +245,15 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return corpus
 
 
-def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
-    """Load, count, smooth and, for ``peaks`` and ``plot``, rank peaks.
+def _analyze(
+    args: argparse.Namespace, corpus: Corpus
+) -> tuple[Spectrum, DeviationSeries | None, list[Peak]]:
+    """Count, smooth and, for ``peaks`` and ``plot``, rank peaks.
 
     With no usable year the series is None and the peak list empty; the
     renderers turn that into header-only tables and a bare chart.
     """
-    spectrum = compute_spectrum(_load_corpus(args), args.year_range)
+    spectrum = compute_spectrum(corpus, args.year_range)
     if spectrum.is_empty:
         print("no cited references with usable years")
         return spectrum, None, []
@@ -263,21 +262,20 @@ def _analyze(args: argparse.Namespace) -> tuple[Spectrum, DeviationSeries | None
     return spectrum, series, peaks
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(args: argparse.Namespace, name: str, artifact) -> Path:
+    """Write one artifact under ``--out`` (created first) and return its path.
 
-
-def _write_text(path: Path, text: str) -> None:
+    Text is written as is, anything else as indented JSON; LF line endings.
+    """
+    path = Path(args.out or ".") / name
+    path.parent.mkdir(parents=True, exist_ok=True)  # its OSError names the directory
+    if not isinstance(artifact, str):
+        artifact = json.dumps(artifact, indent=2, ensure_ascii=False) + "\n"
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_text(artifact, encoding="utf-8", newline="\n")
     except OSError as exc:  # a failed write() does not name the file
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    return path
 
 
 def _dec1(value) -> str:
@@ -298,27 +296,19 @@ def render_median_csv(series: DeviationSeries | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_stats_csv(stats: CorpusStats) -> str:
+def _render_stats_csv(rows: list[tuple[str, int, int]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["journal", "records", "cited_refs"])
-    for row in stats.rows:
-        writer.writerow([row.journal, row.records, row.cited_refs])
-    writer.writerow(["Total", stats.total_records, stats.total_cited_refs])
+    csv.writer(buf, lineterminator="\n").writerows([("journal", "records", "cited_refs"), *rows])
     return buf.getvalue()
 
 
-def _stats_table(stats: CorpusStats) -> str:
-    rows = [(r.journal, f"{r.records:,}", f"{r.cited_refs:,}") for r in stats.rows]
-    rows.append(("Total", f"{stats.total_records:,}", f"{stats.total_cited_refs:,}"))
-    name_w = max(len("Journal"), max(len(r[0]) for r in rows))
-    rec_w = max(len("Papers"), max(len(r[1]) for r in rows))
-    ref_w = max(len("Cited refs"), max(len(r[2]) for r in rows))
-    lines = [f"{'Journal':<{name_w}}  {'Papers':>{rec_w}}  {'Cited refs':>{ref_w}}"]
-    lines.extend(
-        f"{name:<{name_w}}  {recs:>{rec_w}}  {refs:>{ref_w}}" for name, recs, refs in rows
+def _stats_table(rows: list[tuple[str, int, int]]) -> str:
+    cells = [("Journal", "Papers", "Cited refs")]
+    cells.extend((name, f"{recs:,}", f"{refs:,}") for name, recs, refs in rows)
+    name_w, rec_w, ref_w = (max(map(len, column)) for column in zip(*cells))
+    return "\n".join(
+        f"{name:<{name_w}}  {recs:>{rec_w}}  {refs:>{ref_w}}" for name, recs, refs in cells
     )
-    return "\n".join(lines)
 
 
 def _slug(name: str) -> str:
@@ -332,33 +322,32 @@ def _slug(name: str) -> str:
     return f"{head}~{hashlib.sha256(name.encode()).hexdigest()[:16]}"
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(_load_corpus(args))
-    print(_stats_table(stats))
+def cmd_stats(args: argparse.Namespace, corpus: Corpus) -> int:
+    stats = corpus_stats(corpus)
+    # (journal, records, cited_refs) per journal, then the totals: the table's and the CSV's.
+    rows = [(r.journal, r.records, r.cited_refs) for r in stats.rows]
+    rows.append(("Total", stats.total_records, stats.total_cited_refs))
+    print(_stats_table(rows))
     if args.out:
-        path = _out_dir(args) / STATS_CSV
-        _write_text(path, _render_stats_csv(stats))
-        print(f"wrote {path}")
+        print(f"wrote {_write(args, STATS_CSV, _render_stats_csv(rows))}")
     return EXIT_OK if stats.total_records else EXIT_EMPTY
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    spectrum, series, _ = _analyze(args)
-    out = _out_dir(args)
-    _write_text(out / RPYS_CSV, render_rpys_csv(spectrum))
-    _write_text(out / MEDIAN_CSV, render_median_csv(series))
+def cmd_spectrum(args: argparse.Namespace, corpus: Corpus) -> int:
+    spectrum, series, _ = _analyze(args, corpus)
+    rpys_csv = _write(args, RPYS_CSV, render_rpys_csv(spectrum))
+    median_csv = _write(args, MEDIAN_CSV, render_median_csv(series))
     print(
         f"{spectrum.total} cited references over {len(spectrum.counts)} years "
         f"({spectrum.dropped_out_of_range} outside valid range, "
         f"{spectrum.without_year} without a year); "
-        f"wrote {out / RPYS_CSV}, {out / MEDIAN_CSV}"
+        f"wrote {rpys_csv}, {median_csv}"
     )
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
 
-def cmd_peaks(args: argparse.Namespace) -> int:
-    _, series, peaks = _analyze(args)
-    out = _out_dir(args)
+def cmd_peaks(args: argparse.Namespace, corpus: Corpus) -> int:
+    _, series, peaks = _analyze(args, corpus)
     payload = [
         {
             "year": p.year,
@@ -369,15 +358,17 @@ def cmd_peaks(args: argparse.Namespace) -> int:
         }
         for p in peaks
     ]
-    _write_json(out / PEAKS_JSON, payload)
+    path = _write(args, PEAKS_JSON, payload)
     if not peaks:
-        print(f"no peaks above deviation {args.min_deviation}; wrote {out / PEAKS_JSON}")
+        print(f"no peaks above deviation {args.min_deviation}; wrote {path}")
         return EXIT_EMPTY
     print("rank  year  n_cr  median5  deviation")
-    for p in peaks:
-        median = _dec1(series.row(p.year)[1])
-        print(f"{p.rank:>4}  {p.year:>4}  {p.n_cr:>4}  {median:>7}  {_dec1(p.deviation):>9}")
-    print(f"wrote {out / PEAKS_JSON}")
+    for row in payload:
+        print(
+            f"{row['rank']:>4}  {row['year']:>4}  {row['n_cr']:>4}  "
+            f"{_dec1(row['median5']):>7}  {_dec1(row['deviation']):>9}"
+        )
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -390,21 +381,8 @@ def _print_rows(rows: list[dict], label: str) -> None:
         print(f"  {row['count']:>5}  {row['share']:>5.1f}%  {row[label]}")
 
 
-def _profile_payload(profile) -> dict:
-    return {
-        "year": profile.year,
-        "total_refs": profile.total_refs,
-        "authors": [row._asdict() for row in profile.author_rows],
-        "works": _works_payload(profile.work_rows),
-        "unattributed": profile.unattributed,
-    }
-
-
-def cmd_drill(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    out = _out_dir(args)
+def cmd_drill(args: argparse.Namespace, corpus: Corpus) -> int:
     year = args.year
-
     if args.author is not None:
         breakdown = author_breakdown(corpus, args.author, year)
         payload = {
@@ -413,15 +391,19 @@ def cmd_drill(args: argparse.Namespace) -> int:
             "total_refs": breakdown.total_refs,
             "works": _works_payload(breakdown.rows),
         }
-        path = out / f"breakdown_{year}_{_slug(args.author)}.json"
-        _write_json(path, payload)
+        path = _write(args, f"breakdown_{year}_{_slug(args.author)}.json", payload)
         print(f"{args.author}, {year}: {breakdown.total_refs} cited references")
         _print_rows(payload["works"], "key")
     else:
         profile = drill_year(corpus, year, args.top)
-        payload = _profile_payload(profile)
-        path = out / f"profile_{year}.json"
-        _write_json(path, payload)
+        payload = {
+            "year": profile.year,
+            "total_refs": profile.total_refs,
+            "authors": [row._asdict() for row in profile.author_rows],
+            "works": _works_payload(profile.work_rows),
+            "unattributed": profile.unattributed,
+        }
+        path = _write(args, f"profile_{year}.json", payload)
         print(
             f"year {year}: {profile.total_refs} cited references "
             f"({profile.unattributed} unattributed)"
@@ -434,10 +416,9 @@ def cmd_drill(args: argparse.Namespace) -> int:
     return EXIT_OK if payload["total_refs"] else EXIT_EMPTY
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    spectrum, series, peaks = _analyze(args)
-    path = _out_dir(args) / SPECTROGRAM_SVG
-    _write_text(path, render_spectrogram(series, peaks))
+def cmd_plot(args: argparse.Namespace, corpus: Corpus) -> int:
+    spectrum, series, peaks = _analyze(args, corpus)
+    path = _write(args, SPECTROGRAM_SVG, render_spectrogram(series, peaks))
     print(f"wrote {path} ({len(peaks)} peak years labeled)")
     return EXIT_OK if spectrum.total else EXIT_EMPTY
 
@@ -446,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            return args.run(_checked(args))
+            _checked(args)
+            return args.run(args, _load_corpus(args))
         finally:
             print(end="", flush=True)  # a stdout that cannot take the output fails here
     except (CliError, CorpusError) as exc:

@@ -443,6 +443,41 @@ class TestFlagsAndErrors:
             assert runs[1] == runs[0], inputs
             assert runs[1][1] == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [*_SUBCOMMANDS.values(), ["drill", "--year", "1904", "--author", "AUTHOR00 A"]],
+        ids=[*_SUBCOMMANDS, "drill-author"],
+    )
+    def test_each_invocation_loads_once(self, tmp_path, monkeypatch, command):
+        # Every subcommand reads each distinct input file once and builds one corpus.
+        monkeypatch.chdir(tmp_path)
+        crs = lines_for_counts({1901: 3, 1902: 9, 1903: 3, 1904: 11, 1905: 3})
+        write_export(tmp_path / "x.txt", [citing_record("WOS:1", crs=crs)])
+        write_export(tmp_path / "y.txt", [citing_record("WOS:2", crs=crs[:5])])
+        loaded, built = [], []
+
+        def load_export(path, *args, load=cli.load_export, **kwargs):
+            loaded.append(Path(path).resolve())
+            return load(path, *args, **kwargs)
+
+        def build_corpus(*args, build=cli.build_corpus, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_export", load_export)
+        monkeypatch.setattr(cli, "build_corpus", build_corpus)
+        inputs = ["--input", "x.txt", "--input", "./x.txt", "--input", "y.txt"]
+        assert main([*command, *inputs, "--out", "out"]) == 0
+        assert sorted(loaded) == [(tmp_path / name).resolve() for name in ("x.txt", "y.txt")]
+        assert len(built) == 1
+
+    def test_input_naming_only_a_directory_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["stats", "--input", "d", "--out", "out"]) == 2
+        assert capsys.readouterr() == ("", "rpys: no files matched inputs: d\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_range_exits_two(self, spike_export, capsys):
         assert main(["spectrum", "--input", spike_export, "--range", "1905"]) == 2
         assert main(["spectrum", "--input", spike_export, "--range", "1950:1900"]) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import statistics
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from rpys import (
     detect_peaks,
     median_deviation,
 )
+from rpys.cli import main
+
+from conftest import citing_record, tagged_export
 
 
 def corpus_of_years(years, pub_year=2013):
@@ -250,3 +254,26 @@ class TestDetectPeaks:
             start + i for i in range(len(counts)) if is_peak(series.deviation, i)
         }
         assert set(years) == found
+
+
+class TestOneYearSpectrum:
+    def test_row_outside_the_range_raises(self):
+        series = median_deviation(compute_spectrum(corpus_of_years([1905, 1905]), (1905, 1905)))
+        assert series.row(1905) == (2, Fraction(2), Fraction(0))
+        for year in (1904, 1906):
+            with pytest.raises(KeyError):
+                series.row(year)
+
+    def test_plot_centres_the_single_year(self, tmp_path, capsys):
+        crs = ["EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891", "KUHN TS, 1962, STRUCTURE"]
+        path = tmp_path / "one.txt"
+        path.write_text(tagged_export([citing_record("WOS:1", crs=crs)]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["plot", "--input", str(path), "--range", "1905:1905", "--out", str(out)]) == 0
+        svg_path = out / "spectrogram.svg"
+        assert capsys.readouterr().out == f"wrote {svg_path} (0 peak years labeled)\n"
+        svg = svg_path.read_text(encoding="utf-8")
+        points = re.findall(r'<polyline class="\w+" points="([^"]*)"/>', svg)
+        # Both curves are one point each, at the centre of the x axis.
+        assert len(points) == 2
+        assert all(re.fullmatch(r"480\.00,\d+\.\d\d", p) for p in points)

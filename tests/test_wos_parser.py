@@ -54,6 +54,10 @@ class TestDetectFormat:
         assert "X" * 40 in str(err.value)
         assert "X" * 41 not in str(err.value)
 
+    def test_unknown_layout_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown export format 'auto'"):
+            parse_export("FN WoS\nVR 1.0\n", "auto")
+
 
 class TestTaggedParsing:
     def test_two_clean_records(self):
@@ -152,6 +156,17 @@ class TestTaggedParsing:
     def test_cr_reference_count_matches_sum(self):
         records, diag = parse_export(THREE_RECORD_EXPORT)
         assert diag.cr_lines_parsed == sum(len(r.get("CR")) for r in records)
+
+    def test_cr_field_of_blank_lines_is_dropped(self):
+        # A tagged CR field whose value and continuation are both blank
+        # leaves no CR tag on the record, as the per-line reader does.
+        text = "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nCR \n   \nER\nEF\n"
+        for strict in (False, True):
+            records, diag = parse_export(text, strict=strict)
+            assert records == [RawRecord({"PT": ["J"], "UT": ["WOS:1"]})]
+            assert diag.cr_lines_parsed == 0
+            assert diag.malformed_records == 0
+            assert (records, diag) == reference_reader.parse_export(text, TAGGED, strict=strict)
 
 
 # One case per structural defect: layout, text, UTs of the records kept
