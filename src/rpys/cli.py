@@ -40,8 +40,6 @@ from .textnorm import UNKNOWN_AUTHOR, key_token
 from .wos import (
     MAX_RPY,
     MIN_RPY,
-    TAB_DELIMITED,
-    TAGGED,
     ExportParseError,
     UnrecognizedFormatError,
     load_export,
@@ -57,8 +55,6 @@ PEAKS_JSON = "peaks.json"
 SPECTROGRAM_SVG = "spectrogram.svg"
 STATS_CSV = "stats.csv"
 _SLUG_MAX = 255 - len("breakdown_2100_.json")  # 255: the usual file-name limit, in bytes
-
-_FMT_BY_FLAG = {"tagged": TAGGED, "tsv": TAB_DELIMITED, "auto": "auto"}
 
 
 class CliError(Exception):
@@ -81,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="PATH",
         help="export file or glob pattern; repeat for multiple inputs",
-    )
-    load.add_argument(
-        "--format",
-        choices=sorted(_FMT_BY_FLAG),
-        default="auto",
-        help="export layout (default: detect from the first line)",
     )
     load.add_argument(
         "--journals",
@@ -227,7 +217,7 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     malformed = 0
     for path in _expand_inputs(args.input):
         try:
-            recs, diag, _ = load_export(path, _FMT_BY_FLAG[args.format], strict=args.strict)
+            recs, diag, _ = load_export(path, strict=args.strict)
         except (OSError, UnrecognizedFormatError, ExportParseError) as exc:  # none names the file
             raise CliError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
         records.extend(recs)

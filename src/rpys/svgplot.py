@@ -46,6 +46,14 @@ def _tick_step(span: float, target: int = 8) -> float:
     return step
 
 
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float, style: str = "") -> str:
+    """One ``<line>`` element; ``style`` holds any attributes after the end points."""
+    return (
+        f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{style}/>'
+    )
+
+
 def _open_svg(parts: list[str]) -> None:
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
     parts.append(
@@ -57,14 +65,8 @@ def _open_svg(parts: list[str]) -> None:
 
 
 def _axes(parts: list[str], x0: float, x1: float, y0: float, y1: float) -> None:
-    parts.append(
-        f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y1)}" '
-        f'x2="{_fmt(x0)}" y2="{_fmt(y0)}"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y1)}" '
-        f'x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>'
-    )
+    parts.append(_line("axis", x0, y1, x0, y0))
+    parts.append(_line("axis", x0, y1, x1, y1))
 
 
 def render_spectrogram(
@@ -108,10 +110,7 @@ def render_spectrogram(
     tick = -(-v_lo // ystep) * ystep  # first multiple of ystep >= v_lo
     while tick <= v_hi:
         py = sy(tick)
-        parts.append(
-            f'<line class="grid" x1="{_fmt(x0)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(x1)}" y2="{_fmt(py)}"/>'
-        )
+        parts.append(_line("grid", x0, py, x1, py))
         label = str(int(tick)) if float(tick).is_integer() else _fmt(tick)
         parts.append(
             f'<text class="tick-y" x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}">{label}</text>'
@@ -123,10 +122,7 @@ def render_spectrogram(
     xticks = list(range(year, last + 1, xstep)) or [first]
     for year in xticks:
         px = sx(year)
-        parts.append(
-            f'<line class="axis" x1="{_fmt(px)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(y1 + 5)}"/>'
-        )
+        parts.append(_line("axis", px, y1, px, y1 + 5))
         parts.append(
             f'<text class="tick-x" x="{_fmt(px)}" y="{_fmt(y1 + 20)}">{year}</text>'
         )
@@ -134,10 +130,7 @@ def render_spectrogram(
     _axes(parts, x0, x1, y0, y1)
     if v_lo < 0:
         zero = sy(0.0)
-        parts.append(
-            f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(zero)}" '
-            f'x2="{_fmt(x1)}" y2="{_fmt(zero)}"/>'
-        )
+        parts.append(_line("axis", x0, zero, x1, zero))
 
     years = list(series.years())
     count_pts = " ".join(f"{_fmt(sx(y))},{_fmt(sy(c))}" for y, c in zip(years, counts))
@@ -152,16 +145,15 @@ def render_spectrogram(
             f'<text class="peak-label" x="{_fmt(px)}" y="{_fmt(py)}">{peak.year}</text>'
         )
 
+    swatch = ' stroke="{}" stroke-width="1.5"'
     parts.append(
-        f'<line class="counts-swatch" x1="{_fmt(x0 + 8)}" y1="{_fmt(y0 - 12)}" '
-        f'x2="{_fmt(x0 + 28)}" y2="{_fmt(y0 - 12)}" stroke="#1f77b4" stroke-width="1.5"/>'
+        _line("counts-swatch", x0 + 8, y0 - 12, x0 + 28, y0 - 12, swatch.format("#1f77b4"))
     )
     parts.append(
         f'<text x="{_fmt(x0 + 34)}" y="{_fmt(y0 - 8)}">cited references per year</text>'
     )
     parts.append(
-        f'<line class="deviation-swatch" x1="{_fmt(x0 + 248)}" y1="{_fmt(y0 - 12)}" '
-        f'x2="{_fmt(x0 + 268)}" y2="{_fmt(y0 - 12)}" stroke="#d62728" stroke-width="1.5"/>'
+        _line("deviation-swatch", x0 + 248, y0 - 12, x0 + 268, y0 - 12, swatch.format("#d62728"))
     )
     parts.append(
         f'<text x="{_fmt(x0 + 274)}" y="{_fmt(y0 - 8)}">deviation from 5-year median</text>'

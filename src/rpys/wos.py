@@ -15,7 +15,11 @@ Two export layouts are supported:
   continuation, and reads one field at a time.
 * ``tab_delimited`` -- one header line of two-character tags, then one
   record per line; the ``CR`` cell packs all cited references separated
-  by ``"; "``.
+  by ``"; "``.  A later line equal to the header (after any byte-order
+  mark) is skipped, so exports joined by ``cat`` read as one.
+
+The layout is a property of each file, read from its first line by
+:func:`detect_format`; :func:`load_export` always detects it.
 
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
@@ -141,19 +145,22 @@ def _normalized(text: str) -> str:
 
 
 def detect_format(text: str) -> str:
-    """Classify an export by its first line.
+    """Classify an export by its first line, after any byte-order mark.
 
-    ``FN ...`` marks a tagged export; a tab-separated header containing
-    the PY and CR tags marks a tab-delimited one.  Anything else raises
-    :class:`UnrecognizedFormatError`.
+    A tab-separated header with more than one cell, naming the PY and CR
+    tags, marks a tab-delimited export; it is tested first, so a padded
+    first cell (``PT \t...``) is no tag line.  Else a tag line (a tag,
+    then nothing or a space) marks a tagged export: ``FN ...``, or the
+    ``PT J`` or ``VR 1.0`` of one without its ``FN`` header.  Anything else
+    raises :class:`UnrecognizedFormatError`.
     """
     end = text.find("\n")
     first = _normalized(text if end < 0 else text[:end])
-    if first.startswith("FN"):
-        return TAGGED
     cells = [cell.strip() for cell in first.split("\t")]
     if len(cells) > 1 and "PY" in cells and "CR" in cells:
         return TAB_DELIMITED
+    if first[:2] in _TAGS and first[2:3] in ("", " "):
+        return TAGGED
     raise UnrecognizedFormatError(
         f"unrecognized export format; first line starts {first[:40]!r}"
     )
@@ -272,7 +279,7 @@ def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
     columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
 
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() or line.lstrip("\ufeff") == lines[0]:  # blank, or cat-joined header
             continue
         cells = line.split("\t")
         if len(cells) != len(header):
@@ -392,10 +399,10 @@ def decode_export_bytes(data: bytes) -> str:
 
 
 def load_export(
-    path: str | Path, fmt: str = "auto", strict: bool = False
+    path: str | Path, *, strict: bool = False
 ) -> tuple[list[RawRecord], ParseDiagnostics, str]:
-    """Read, decode and parse one export file; returns the format used."""
+    """Read, decode and parse one export file; returns its detected format."""
     text = decode_export_bytes(Path(path).read_bytes())
-    resolved = detect_format(text) if fmt == "auto" else fmt
-    records, diag = parse_export(text, resolved, strict=strict)
-    return records, diag, resolved
+    fmt = detect_format(text)
+    records, diag = parse_export(text, fmt, strict=strict)
+    return records, diag, fmt

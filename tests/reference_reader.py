@@ -1,9 +1,13 @@
 """Reference export readers: the earlier per-line readers.
 
-They are kept verbatim but for one rule both readers follow: after an
-``EF`` terminator, blank lines and then the ``FN`` header of a next export
-may follow.  They split the text into a list of lines and walk it one line
-at a time.  ``rpys.wos`` reads tagged text one field at a time instead; the
+They are kept verbatim but for the rules that let exports joined by
+``cat`` read as one: after an ``EF`` terminator, blank lines and then the
+``FN`` header of a next export may follow, and a tab-delimited line equal
+to the header (after any byte-order mark) is skipped.  ``detect_format``
+also takes any tag line, not only ``FN``, as the start of a tagged export,
+once the tab-delimited header rule has not matched.
+They split the text into a list of lines and walk it one line at a time.
+``rpys.wos`` reads tagged text one field at a time instead; the
 differential tests in ``test_wos_parser.py`` hold its readers to these.
 """
 
@@ -37,11 +41,11 @@ def _lines(text: str) -> list[str]:
 
 def detect_format(text: str) -> str:
     [first] = _lines(text.partition("\n")[0])
-    if first.startswith("FN"):
-        return TAGGED
     cells = [cell.strip() for cell in first.split("\t")]
     if len(cells) > 1 and "PY" in cells and "CR" in cells:
         return TAB_DELIMITED
+    if _TAG_NAME.match(first[:2]) and first[2:3] in ("", " "):
+        return TAGGED
     raise UnrecognizedFormatError(
         f"unrecognized export format; first line starts {first[:40]!r}"
     )
@@ -139,7 +143,7 @@ def _parse_tab_delimited(lines: list[str], defect: _Defect) -> list[RawRecord]:
     columns = [(i, tag) for i, tag in enumerate(header) if _TAG_NAME.match(tag)]
 
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() or line.lstrip("\ufeff") == lines[0]:
             continue
         cells = line.split("\t")
         if len(cells) != len(header):

@@ -27,8 +27,8 @@ _SUBCOMMANDS = {
     "drill": ["drill", "--year", "1904"],
     "plot": ["plot"],
 }
-_LOAD_FLAGS = {"--input", "--format", "--journals", "--out", "--strict"}
-# The long flags each subcommand takes: 35 slots in all.
+_LOAD_FLAGS = {"--input", "--journals", "--out", "--strict"}
+# The long flags each subcommand takes: 30 slots in all.
 _LONG_FLAGS = {
     "stats": _LOAD_FLAGS,
     "spectrum": _LOAD_FLAGS | {"--range"},
@@ -379,7 +379,7 @@ class TestFlagsAndErrors:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        code = main(["spectrum", "--input", str(path), "--format", "tsv", "--out", str(out)])
+        code = main(["spectrum", "--input", str(path), "--out", str(out)])
         assert code == 0
         lines = (out / "rpys.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1:] == ["1950,1", "1951,1"]
@@ -539,7 +539,23 @@ class TestFlagsAndErrors:
             for name, sub in subparsers.choices.items()
         }
         assert taken == _LONG_FLAGS
-        assert [len(taken[name]) for name in _SUBCOMMANDS] == [5, 6, 8, 8, 8]
+        assert [len(taken[name]) for name in _SUBCOMMANDS] == [4, 5, 7, 7, 7]
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS.values(), ids=_SUBCOMMANDS)
+    def test_format_flag_exits_two(self, spike_export, tmp_path, capsys, monkeypatch, command):
+        # The layout is read from each file, so no subcommand takes --format.
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the flags were parsed")
+
+        monkeypatch.setattr(cli, "load_export", unread)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", spike_export, "--format", "tsv", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format tsv" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -648,11 +664,39 @@ class TestFlagsAndErrors:
         assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
         assert capsys.readouterr() == joined
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_concatenated_tab_delimited_exports_read_as_one(self, tmp_path, capsys, strict, bom):
+        # `cat a.tsv b.tsv > ab.tsv`: b's header row is no record.
+        header = "PT\tSO\tPY\tCR\tUT\n"
+        parts = [
+            bom + header + "J\tERKENNTNIS\t2010\tA B, 1950, X; C D, 1951, Y\tWOS:1\n",
+            bom + header + "J\tMIND\t2011\tE F, 1950, Z\tWOS:2\n",
+        ]
+        for name, text in [("a.tsv", parts[0]), ("b.tsv", parts[1]), ("ab.tsv", "".join(parts))]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        assert main(["stats", "--input", str(tmp_path / "ab.tsv"), *flags]) == 0
+        joined = capsys.readouterr()
+        assert joined.err == ""
+        assert joined.out.splitlines()[-1].split() == ["Total", "2", "3"]
+        files = [str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")]
+        assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
+        assert capsys.readouterr() == joined
+
     def test_unrecognized_format_exits_two(self, tmp_path, capsys):
         # Every export starts with a header line, so an empty or blank
-        # file is a failed export, not an empty corpus.
+        # file is a failed export, not an empty corpus; so is one whose
+        # first line is blank, or a tab header without PY or CR.
         path = tmp_path / "page.html"
-        for content in ("<html><body>nope</body></html>\n", "", "\n  \n\n"):
+        for content in (
+            "<html><body>nope</body></html>\n",
+            "",
+            "\n  \n\n",
+            "\nFN WoS\nVR 1.0\nEF\n",
+            "PT\tSO\tUT\nJ\tX\tWOS:1\n",
+            "FNORD\n",
+        ):
             path.write_text(content, encoding="utf-8")
             assert main(["stats", "--input", str(path)]) == 2
             assert "unrecognized" in capsys.readouterr().err

@@ -42,6 +42,21 @@ class TestDetectFormat:
     def test_tab_header_is_tab_delimited(self):
         assert detect_format("PT\tAU\tTI\tSO\tPY\tCR\tUT\n") == TAB_DELIMITED
 
+    def test_padded_first_header_cell_is_no_tag_line(self):
+        assert detect_format("PT \tPY\tCR\tUT\n") == TAB_DELIMITED
+
+    @pytest.mark.parametrize("first", ["PT J", "VR 1.0", "\ufeffPT J", "FN", "CR\r"])
+    def test_any_tag_line_is_tagged(self, first):
+        # An export without its FN header still starts with a tag line.
+        assert detect_format(first + "\nUT WOS:1\nER\n") == TAGGED
+
+    @pytest.mark.parametrize(
+        "first", ["FNORD", "FN\tx", "PTJ", "pt J", "", "PT\tSO\tCR\tUT", "PY\tUT"]
+    )
+    def test_near_misses_are_unrecognized(self, first):
+        with pytest.raises(UnrecognizedFormatError):
+            detect_format(first + "\nPT J\nER\n")
+
     def test_unrecognized_reports_line_start(self):
         with pytest.raises(UnrecognizedFormatError) as err:
             detect_format("<html><body>Export failed</body></html>\n")
@@ -296,6 +311,15 @@ class TestTabDelimited:
         records, _ = parse_export(text, TAB_DELIMITED)
         assert records[0].first("AU") is None
         assert records[0].first("TI") == "Title"
+
+    def test_concatenated_tab_delimited_exports(self):
+        # A line equal to the header, maybe after a byte-order mark, is skipped.
+        first = f"{self.HEADER}\nJ\tDoe, J\tOne\tX\t2010\tA B, 1950, X\tWOS:1\n"
+        second = f"{self.HEADER}\nJ\tRoe, R\tTwo\tY\t2011\tC D, 1951, Y\tWOS:2\n"
+        for text in (first + second, first + "\n" + second, first + "\ufeff" + second):
+            records, diag = parse_export(text, TAB_DELIMITED, strict=True)
+            assert [r.first("UT") for r in records] == ["WOS:1", "WOS:2"]
+            assert (diag.malformed_records, diag.cr_lines_parsed) == (0, 2)
 
 
 _TAG_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -816,6 +840,26 @@ class TestEncodingAndLoading:
         assert len(records) == 1
         assert diag.malformed_records == 0
 
+    def test_headerless_tagged_export_reads_like_its_twin(self, tmp_path):
+        # Without FN and VR, an export starts with its first record.
+        blocks = [citing_record("WOS:1", crs=["A B, 1950, X"]), citing_record("WOS:2")]
+        text = tagged_export(blocks)
+        headed, headerless = tmp_path / "headed.txt", tmp_path / "headerless.txt"
+        headed.write_text(text, encoding="utf-8")
+        headerless.write_text(text.split("\n", 2)[2], encoding="utf-8")
+        assert headerless.read_text(encoding="utf-8").startswith("PT J\n")
+        for strict in (False, True):
+            records, diag, fmt = load_export(headerless, strict=strict)
+            assert (records, diag, fmt) == load_export(headed, strict=strict)
+            assert fmt == TAGGED
+            assert len(records) == 2
+
+    def test_load_export_takes_no_format(self, tmp_path):
+        path = tmp_path / "export.txt"
+        path.write_text(tagged_export([citing_record("WOS:1")]), encoding="utf-8")
+        with pytest.raises(TypeError):
+            load_export(path, "tsv")
+
     def test_utf16_exports_match_their_utf8_text(self, tmp_path):
         cr = "POINCARÉ H, 1905, CR HEBD ACAD SCI"
         tagged = tagged_export([citing_record("WOS:1", crs=[cr])]).replace("\n", "\r\n")
@@ -984,6 +1028,8 @@ class TestReaderDifferential:
     @given(_soup_export_st, st.booleans())
     @example((TAGGED, "FN WoS\n   x\nPT J\nER"), False)  # a continuation with no record open
     @example((TAGGED, "   PT J\nUT X"), True)  # an indented first line is no continuation
+    # a header row of a cat-joined export, behind a BOM and before a CR, is no record
+    @example((TAB_DELIMITED, "PT\tPY\tCR\tUT\n\ufeffPT\tPY\tCR\tUT\r\nJ\t1\tA\tB\n"), True)
     def test_readers_match_reference(self, export, strict):
         fmt, text = export
         assert _outcome(parse_export, text, fmt, strict=strict) == _outcome(
@@ -992,6 +1038,9 @@ class TestReaderDifferential:
 
     @settings(max_examples=150)
     @given(_soup_export_st)
+    @example((TAGGED, "PT J\nUT WOS:1\nER\n"))  # a tagged export without its FN header
+    @example((TAGGED, "FNORD\nPT J\nER\n"))  # FN with no space after it is no tag line
+    @example((TAB_DELIMITED, "PT \tPY\tCR\tUT\n"))  # the header rule comes first
     def test_detect_format_matches_reference(self, export):
         _, text = export
 
