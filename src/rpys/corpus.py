@@ -337,7 +337,8 @@ def build_corpus(
     filter matches on the normalized source title.  Records lacking a
     publication year or source title are errors in strict mode and are
     excluded (and counted) otherwise.  Records keep their CR strings
-    verbatim; nothing is parsed here.
+    verbatim; nothing is parsed here.  A reader's CR tuple becomes the
+    record's ``cited_refs`` without a copy (a hand-built list is copied).
     """
     diag = CorpusDiagnostics(records_in=len(records))
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
@@ -363,8 +364,7 @@ def build_corpus(
             diag.excluded_by_filter += 1
             continue
 
-        refs = tuple(raw.get("CR"))
-        kept.append(Record(uid=uid, journal=journal, pub_year=pub_year, cited_refs=refs))
+        kept.append(Record(uid, journal, pub_year, tuple(raw.get("CR"))))
 
     diag.records_kept = len(kept)
     return Corpus(tuple(kept)), diag

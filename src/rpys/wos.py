@@ -15,8 +15,18 @@ Two export layouts are supported:
   continuation, and reads one field at a time.
 * ``tab_delimited`` -- one header line of two-character tags, then one
   record per line; the ``CR`` cell packs all cited references separated
-  by ``"; "``.  A later line equal to the header (after any byte-order
-  mark) is skipped, so exports joined by ``cat`` read as one.
+  by ``"; "``.  A later line that passes :func:`detect_format`'s header
+  rule (after any byte-order mark) is the header of the rows after it,
+  so exports joined by ``cat`` read as one even where the fields chosen
+  at export, and so the columns, differ.
+
+Each record is a :class:`RawRecord` whose tag values are tuples of
+strings, built once per field: a tab-delimited cell becomes a 1-tuple
+(the ``CR`` cell the tuple of its non-blank references), and a tagged
+field is a list only while its record is open.  CPython stops tracking
+a tuple of strings, and then a dict of such tuples, in a full garbage
+collection, so after one a loaded record is one object the collector
+tracks, the slotted ``RawRecord`` itself.
 
 The layout is a property of each file, read from its first line by
 :func:`detect_format`; :func:`load_export` always detects it.
@@ -39,7 +49,7 @@ from __future__ import annotations
 import codecs
 import re
 import string
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -83,14 +93,18 @@ class ExportParseError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(slots=True)
 class RawRecord:
-    """One exported record: ordered map of 2-char field tags to value lines."""
+    """One exported record: ordered map of 2-char field tags to value lines.
 
-    tags: dict[str, list[str]] = field(default_factory=dict)
+    The readers store each tag's values as a tuple; a record built by hand
+    with lists of values reads the same through these methods.
+    """
 
-    def get(self, tag: str) -> list[str]:
-        return self.tags.get(tag, [])
+    tags: dict[str, Sequence[str]] = field(default_factory=dict)
+
+    def get(self, tag: str) -> Sequence[str]:
+        return self.tags.get(tag, ())
 
     def first(self, tag: str) -> str | None:
         values = self.tags.get(tag)
@@ -144,6 +158,18 @@ def _normalized(text: str) -> str:
     return text.lstrip("\ufeff")
 
 
+def _header_cells(line: str) -> list[str] | None:
+    """A tab-delimited header's stripped cells, or None for any other line.
+
+    A header has more than one tab-separated cell, and two of them are
+    the PY and CR tags.
+    """
+    cells = [cell.strip() for cell in line.lstrip("\ufeff").split("\t")]
+    if len(cells) > 1 and "PY" in cells and "CR" in cells:
+        return cells
+    return None
+
+
 def detect_format(text: str) -> str:
     """Classify an export by its first line, after any byte-order mark.
 
@@ -156,8 +182,7 @@ def detect_format(text: str) -> str:
     """
     end = text.find("\n")
     first = _normalized(text if end < 0 else text[:end])
-    cells = [cell.strip() for cell in first.split("\t")]
-    if len(cells) > 1 and "PY" in cells and "CR" in cells:
+    if _header_cells(first) is not None:
         return TAB_DELIMITED
     if first[:2] in _TAGS and first[2:3] in ("", " "):
         return TAGGED
@@ -195,13 +220,12 @@ def parse_export(
 
 
 def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:
-    # The CR tag must only carry non-empty reference lines.
-    if "CR" in tags:
-        kept = list(filter(str.strip, tags["CR"]))
-        if kept:
-            tags["CR"] = kept
-        else:
-            del tags["CR"]
+    # Each open field's list becomes a tuple in place; the CR tag keeps
+    # only its non-empty reference lines.
+    for tag, values in tags.items():
+        tags[tag] = tuple(filter(str.strip, values) if tag == "CR" else values)
+    if tags.get("CR") == ():
+        del tags["CR"]
     return RawRecord(tags)
 
 
@@ -279,23 +303,29 @@ def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
     columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
 
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.lstrip("\ufeff") == lines[0]:  # blank, or cat-joined header
+        if not line.strip():
+            continue
+        # A cat-joined export's header; the substring test keeps a data row
+        # from splitting and stripping every cell.
+        if "PY" in line and "CR" in line and (cells := _header_cells(line)):
+            header = cells
+            columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
             continue
         cells = line.split("\t")
         if len(cells) != len(header):
             defect(lineno, f"expected {len(header)} columns, found {len(cells)}")
             continue
-        tags: dict[str, list[str]] = {}
+        tags: dict[str, tuple[str, ...]] = {}
         for idx, tag in columns:
             value = cells[idx].strip()
             if not value:
                 continue
             if tag == "CR":
-                refs = list(filter(None, map(str.strip, value.split("; "))))
+                refs = tuple(filter(None, map(str.strip, value.split("; "))))
                 if refs:
                     tags[tag] = refs
             else:
-                tags[tag] = [value]
+                tags[tag] = (value,)
         records.append(RawRecord(tags))
 
     return records

@@ -2,10 +2,13 @@
 
 They are kept verbatim but for the rules that let exports joined by
 ``cat`` read as one: after an ``EF`` terminator, blank lines and then the
-``FN`` header of a next export may follow, and a tab-delimited line equal
-to the header (after any byte-order mark) is skipped.  ``detect_format``
-also takes any tag line, not only ``FN``, as the start of a tagged export,
-once the tab-delimited header rule has not matched.
+``FN`` header of a next export may follow, and a later tab-delimited line
+that passes ``detect_format``'s header rule (after any byte-order mark)
+is the header of the rows after it.  ``detect_format`` also takes any tag
+line, not only ``FN``, as the start of a tagged export, once the
+tab-delimited header rule has not matched.
+They store each tag's values as a list; ``rpys.wos`` stores tuples, so
+the differential tests compare the two as tuples.
 They split the text into a list of lines and walk it one line at a time.
 ``rpys.wos`` reads tagged text one field at a time instead; the
 differential tests in ``test_wos_parser.py`` hold its readers to these.
@@ -39,10 +42,16 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
+def _header_cells(line: str) -> list[str] | None:
+    cells = [cell.strip() for cell in line.lstrip("\ufeff").split("\t")]
+    if len(cells) > 1 and "PY" in cells and "CR" in cells:
+        return cells
+    return None
+
+
 def detect_format(text: str) -> str:
     [first] = _lines(text.partition("\n")[0])
-    cells = [cell.strip() for cell in first.split("\t")]
-    if len(cells) > 1 and "PY" in cells and "CR" in cells:
+    if _header_cells(first) is not None:
         return TAB_DELIMITED
     if _TAG_NAME.match(first[:2]) and first[2:3] in ("", " "):
         return TAGGED
@@ -143,7 +152,11 @@ def _parse_tab_delimited(lines: list[str], defect: _Defect) -> list[RawRecord]:
     columns = [(i, tag) for i, tag in enumerate(header) if _TAG_NAME.match(tag)]
 
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.lstrip("\ufeff") == lines[0]:
+        if not line.strip():
+            continue
+        if (cells := _header_cells(line)) is not None:
+            header = cells
+            columns = [(i, tag) for i, tag in enumerate(header) if _TAG_NAME.match(tag)]
             continue
         cells = line.split("\t")
         if len(cells) != len(header):

@@ -684,6 +684,32 @@ class TestFlagsAndErrors:
         assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
         assert capsys.readouterr() == joined
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_concatenated_tab_delimited_exports_with_other_headers(self, tmp_path, capsys, strict):
+        # WoS column sets follow the fields chosen at export, so b's header
+        # (another width, another order) holds the columns of b's rows.
+        parts = [
+            "PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t2010\tA B, 1950, X; C D, 1951, Y\tWOS:1\n",
+            "PT\tAU\tSO\tPY\tCR\tUT\nJ\tRoe, R\tMIND\t2011\tE F, 1950, Z\tWOS:2\n",
+            "UT\tCR\tPY\tSO\nWOS:3\tG H, 1951, W\t2012\tMIND\n",
+        ]
+        for name, text in [
+            ("a.tsv", parts[0]),
+            ("b.tsv", parts[1]),
+            ("c.tsv", parts[2]),
+            ("abc.tsv", "".join(parts)),
+        ]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        assert main(["stats", "--input", str(tmp_path / "abc.tsv"), *flags]) == 0
+        joined = capsys.readouterr()
+        assert joined.err == ""
+        assert joined.out.splitlines()[-1].split() == ["Total", "3", "4"]
+        files = [str(tmp_path / name) for name in ("a.tsv", "b.tsv", "c.tsv")]
+        inputs = [arg for path in files for arg in ("--input", path)]
+        assert main(["stats", *inputs, *flags]) == 0
+        assert capsys.readouterr() == joined
+
     def test_unrecognized_format_exits_two(self, tmp_path, capsys):
         # Every export starts with a header line, so an empty or blank
         # file is a failed export, not an empty corpus; so is one whose

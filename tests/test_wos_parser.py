@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import codecs
+import gc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +16,7 @@ from rpys import (
     ExportParseError,
     RawRecord,
     UnrecognizedFormatError,
+    build_corpus,
     detect_format,
     load_export,
     parse_cited_reference,
@@ -90,11 +93,11 @@ class TestTaggedParsing:
 
     def test_cr_block_spanning_three_lines(self):
         records, diag = parse_export(THREE_RECORD_EXPORT)
-        assert records[0].get("CR") == [
+        assert records[0].get("CR") == (
             "CARNAP R, 1928, LOGISCHE AUFBAU WELT",
             "SCHLICK M, 1930, NATURWISSENSCHAFTEN, V18, P1",
             "WITTGENSTEIN L, 1922, TRACTATUS LOGICO PHI",
-        ]
+        )
 
     def test_lenient_counts_unterminated_record(self):
         records, diag = parse_export(THREE_RECORD_EXPORT)
@@ -154,7 +157,7 @@ class TestTaggedParsing:
         text = "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nTI Title line\n   ER\nER\nEF\n"
         records, diag = parse_export(text)
         assert len(records) == 1
-        assert records[0].get("TI") == ["Title line", "ER"]
+        assert records[0].get("TI") == ("Title line", "ER")
         assert diag.malformed_records == 0
 
     def test_missing_ef_at_eof_accepted(self):
@@ -166,7 +169,7 @@ class TestTaggedParsing:
     def test_duplicate_tag_lines_append(self):
         text = "FN WoS\nVR 1.0\nAU First, A\nAU Second, B\nUT WOS:1\nER\nEF\n"
         records, _ = parse_export(text)
-        assert records[0].get("AU") == ["First, A", "Second, B"]
+        assert records[0].get("AU") == ("First, A", "Second, B")
 
     def test_cr_reference_count_matches_sum(self):
         records, diag = parse_export(THREE_RECORD_EXPORT)
@@ -178,10 +181,12 @@ class TestTaggedParsing:
         text = "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nCR \n   \nER\nEF\n"
         for strict in (False, True):
             records, diag = parse_export(text, strict=strict)
-            assert records == [RawRecord({"PT": ["J"], "UT": ["WOS:1"]})]
+            assert records == [RawRecord({"PT": ("J",), "UT": ("WOS:1",)})]
             assert diag.cr_lines_parsed == 0
             assert diag.malformed_records == 0
-            assert (records, diag) == reference_reader.parse_export(text, TAGGED, strict=strict)
+            assert _outcome(parse_export, text, strict=strict) == _outcome(
+                reference_reader.parse_export, text, TAGGED, strict=strict
+            )
 
 
 # One case per structural defect: layout, text, UTs of the records kept
@@ -290,11 +295,11 @@ class TestTabDelimited:
         )
         records, diag = parse_export(text, TAB_DELIMITED)
         assert diag.records_parsed == 2
-        assert records[0].get("CR") == [
+        assert records[0].get("CR") == (
             "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891",
             "KUHN TS, 1962, STRUCTURE SCI REVOLU",
-        ]
-        assert records[1].get("CR") == []
+        )
+        assert records[1].get("CR") == ()
         assert records[1].first("UT") == "WOS:2"
 
     def test_wrong_column_count_is_malformed(self):
@@ -313,13 +318,28 @@ class TestTabDelimited:
         assert records[0].first("TI") == "Title"
 
     def test_concatenated_tab_delimited_exports(self):
-        # A line equal to the header, maybe after a byte-order mark, is skipped.
+        # A later header line, maybe after a byte-order mark, is no record.
         first = f"{self.HEADER}\nJ\tDoe, J\tOne\tX\t2010\tA B, 1950, X\tWOS:1\n"
         second = f"{self.HEADER}\nJ\tRoe, R\tTwo\tY\t2011\tC D, 1951, Y\tWOS:2\n"
         for text in (first + second, first + "\n" + second, first + "\ufeff" + second):
             records, diag = parse_export(text, TAB_DELIMITED, strict=True)
             assert [r.first("UT") for r in records] == ["WOS:1", "WOS:2"]
             assert (diag.malformed_records, diag.cr_lines_parsed) == (0, 2)
+
+    def test_later_header_rereads_the_columns(self):
+        first = f"{self.HEADER}\nJ\tDoe, J\tOne\tX\t2010\tA B, 1950, X\tWOS:1\n"
+        second = "UT\t CR \tPY\tSO\nWOS:2\tC D, 1951, Y; E F, 1952, Z\t2011\tY\n"
+        records, diag = parse_export(first + second, TAB_DELIMITED, strict=True)
+        assert records[1] == RawRecord(
+            {"UT": ("WOS:2",), "CR": ("C D, 1951, Y", "E F, 1952, Z"), "PY": ("2011",), "SO": ("Y",)}
+        )
+        assert (diag.malformed_records, diag.cr_lines_parsed) == (0, 3)
+
+    def test_row_naming_py_and_cr_in_a_cell_is_a_row(self):
+        # Only a line whose stripped cells are the PY and CR tags is a header.
+        row = "J\tDoe, J\tCOPY OF PY\tCR HEBD\t2010\tA B, 1950, CR\tWOS:1\n"
+        records, diag = parse_export(f"{self.HEADER}\n{row}", TAB_DELIMITED, strict=True)
+        assert [r.first("TI") for r in records] == ["COPY OF PY"]
 
 
 _TAG_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -337,8 +357,10 @@ _cr_value_st = st.text(
 ).filter(lambda s: s.strip())
 _record_st = st.builds(
     lambda tags, crs: RawRecord(dict(tags, **({"CR": crs} if crs else {}))),
-    st.dictionaries(_tag_st, st.lists(_value_st, min_size=1, max_size=3), min_size=1, max_size=5),
-    st.lists(_cr_value_st, max_size=3),
+    st.dictionaries(
+        _tag_st, st.lists(_value_st, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5
+    ),
+    st.lists(_cr_value_st, max_size=3).map(tuple),
 )
 
 
@@ -358,6 +380,55 @@ class TestRoundTrip:
         reparsed, diag = parse_export(text)
         assert reparsed == records
         assert diag.malformed_records == 0
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _tracked_per_record(records: list[RawRecord]) -> float:
+    """GC-tracked objects reachable from the records, classes aside, per record."""
+    found: dict[int, object] = {}
+    stack: list[object] = list(records)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in found and not isinstance(obj, type):
+            found[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return sum(map(gc.is_tracked, found.values())) / len(records)
+
+
+@pytest.mark.parametrize("name", ["pinned_tagged.txt", "pinned_table.txt"])
+class TestTupleValuedRecords:
+    """A loaded record holds tuples of strings, so the collector keeps
+    one object per record, the ``RawRecord``, after a full collection."""
+
+    def test_one_tracked_object_per_record(self, name):
+        records, _, _ = load_export(_FIXTURES / name)
+        gc.collect()
+        assert _tracked_per_record(records) <= 1.0
+
+    def test_every_value_is_a_tuple(self, name):
+        records, _, _ = load_export(_FIXTURES / name)
+        assert records
+        for record in records:
+            assert record.tags
+            assert all(type(values) is tuple for values in record.tags.values())
+            assert record.get("ZZ") == ()
+
+    def test_corpus_keeps_the_cr_tuple(self, name):
+        records, _, _ = load_export(_FIXTURES / name)
+        corpus, _ = build_corpus(records)
+        by_uid: dict[str, RawRecord] = {}
+        for raw in records:  # first occurrence wins, as in build_corpus
+            by_uid.setdefault(raw.first("UT").strip(), raw)
+        assert any(record.cited_refs for record in corpus.records)
+        for record in corpus.records:
+            assert record.cited_refs is by_uid[record.uid].get("CR")
+
+    def test_records_built_with_lists_give_an_equal_corpus(self, name):
+        records, _, _ = load_export(_FIXTURES / name)
+        listed = [RawRecord({tag: list(v) for tag, v in r.tags.items()}) for r in records]
+        assert build_corpus(listed) == build_corpus(records)
 
 
 class TestCitedReferenceGrammar:
@@ -938,11 +1009,18 @@ _ENCODINGS = {
 
 
 def _outcome(fn, *args, **kwargs):
-    """A call's result, or its exception's type, message and line."""
+    """A call's result, its records' values as tuples, or its exception's
+    type, message and line.
+
+    The reference readers store lists; the pin tests guard that
+    ``rpys.wos`` stores tuples.
+    """
     try:
-        return fn(*args, **kwargs)
+        records, *rest = fn(*args, **kwargs)
     except ExportParseError as exc:
         return type(exc), str(exc), exc.line
+    tupled = [RawRecord({tag: tuple(v) for tag, v in r.tags.items()}) for r in records]
+    return tupled, *rest
 
 
 class TestLineEndsAndEncodings:
@@ -1008,6 +1086,11 @@ _tsv_cell_st = st.one_of(
 _tsv_soup_line_st = st.one_of(
     st.lists(_tsv_cell_st, min_size=4, max_size=4).map("\t".join),
     st.lists(_tsv_cell_st, max_size=5).map("\t".join),
+    # a cat-joined export's header, of any width and order, and near misses
+    st.sampled_from(
+        ["PT\tPY\tCR\tUT", "\ufeffPT\tPY\tCR\tUT", "UT\tCR\tPY", " CR \t PY ", "PT\tAU\tPY\tCR\tUT"]
+        + ["PY\tCR", "PYCR\tUT", "COPY\tCRAB", "PY CR", "PY\tUT", "\ufeff\ufeffPY\tCR"]
+    ),
 )
 _soup_export_st = st.one_of(
     st.tuples(st.just(TAGGED), _soup_text_st(_soup_line_st, ["FN WoS\nVR 1.0", ""])),
@@ -1030,6 +1113,11 @@ class TestReaderDifferential:
     @example((TAGGED, "   PT J\nUT X"), True)  # an indented first line is no continuation
     # a header row of a cat-joined export, behind a BOM and before a CR, is no record
     @example((TAB_DELIMITED, "PT\tPY\tCR\tUT\n\ufeffPT\tPY\tCR\tUT\r\nJ\t1\tA\tB\n"), True)
+    # a second header of another width and column order holds the columns after it
+    @example(
+        (TAB_DELIMITED, "PT\tPY\tCR\tUT\nJ\t1\tA\tB\nUT\tAU\tCR\tX1\tPY\nC\tD\tE; F\tG\t2\n"),
+        True,
+    )
     def test_readers_match_reference(self, export, strict):
         fmt, text = export
         assert _outcome(parse_export, text, fmt, strict=strict) == _outcome(
