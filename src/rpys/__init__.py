@@ -14,7 +14,6 @@ from .corpus import (
     CorpusStats,
     JournalStats,
     Record,
-    RefKey,
     WorkShare,
     YearProfile,
     author_breakdown,
@@ -22,7 +21,6 @@ from .corpus import (
     corpus_stats,
     drill_year,
     profile_all_peaks,
-    reference_key,
     round_share,
 )
 from .spectrum import (
@@ -38,10 +36,10 @@ from .textnorm import UNKNOWN_AUTHOR
 from .wos import (
     TAB_DELIMITED,
     TAGGED,
-    CitedReference,
     ExportParseError,
     ParseDiagnostics,
     RawRecord,
+    RefKey,
     UnrecognizedFormatError,
     detect_format,
     load_export,
@@ -57,7 +55,6 @@ __all__ = [
     "TAGGED",
     "TAB_DELIMITED",
     "RawRecord",
-    "CitedReference",
     "ParseDiagnostics",
     "UnrecognizedFormatError",
     "ExportParseError",
@@ -72,7 +69,6 @@ __all__ = [
     "CorpusStats",
     "CorpusDiagnostics",
     "CorpusError",
-    "reference_key",
     "build_corpus",
     "corpus_stats",
     "Spectrum",

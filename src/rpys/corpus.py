@@ -1,9 +1,10 @@
 """Corpus construction: citing records, stable work identities, statistics.
 
 A corpus is the deduplicated set of citing papers whose reference lists
-feed the year spectrum.  Each cited reference gets a :class:`RefKey`, a
-normalized (author, year, source, volume, page) tuple used as the work
-identity when counting citation shares.  No fuzzy merging is attempted:
+feed the year spectrum.  Each cited reference parses to a :class:`RefKey`
+(defined in :mod:`rpys.wos`, beside its parser), a normalized (author,
+year, source, volume, page) tuple used as the work identity when counting
+citation shares.  No fuzzy merging is attempted:
 "ANN PHYS" and "ANN PHYS-BERLIN" stay distinct works, and grouping is by
 first author only, because that is all the WoS CR string carries.
 
@@ -32,7 +33,7 @@ from operator import attrgetter, itemgetter, methodcaller
 from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
-from .wos import CitedReference, RawRecord, cited_year, parse_cited_reference
+from .wos import RawRecord, RefKey, cited_year, parse_cited_reference
 
 if TYPE_CHECKING:  # spectrum imports this module
     from .spectrum import Peak
@@ -45,7 +46,6 @@ __all__ = [
     "CorpusStats",
     "CorpusDiagnostics",
     "CorpusError",
-    "reference_key",
     "build_corpus",
     "corpus_stats",
     "AuthorShare",
@@ -73,34 +73,6 @@ class Record(NamedTuple):
     journal: str
     pub_year: int
     cited_refs: tuple[str, ...]
-
-
-class RefKey(NamedTuple):
-    """Normalized identity of a cited work, ordered field by field.
-
-    A named tuple, so hashing, equality and ordering run in C; it is
-    also a plain tuple, and equals one of the same five values.
-
-    DOI is deliberately not part of the identity: DOIs are sparse in
-    older CR strings, and mixing DOI-keyed and field-keyed identities
-    would split counts for the same work.
-    """
-
-    author: str
-    year: int
-    source: str
-    volume: str
-    page: str
-
-    def display(self) -> str:
-        parts = [self.author, str(self.year)]
-        if self.source:
-            parts.append(self.source)
-        if self.volume:
-            parts.append("V" + self.volume)
-        if self.page:
-            parts.append("P" + self.page)
-        return ", ".join(parts)
 
 
 class AuthorShare(NamedTuple):
@@ -187,7 +159,6 @@ class CorpusStats:
 class CorpusDiagnostics:
     """Bookkeeping for one build_corpus call."""
 
-    records_in: int = 0
     records_kept: int = 0
     duplicates_skipped: int = 0
     excluded_missing_fields: int = 0
@@ -196,7 +167,7 @@ class CorpusDiagnostics:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Deduplicated citing records; a CR string is parsed and keyed once, when first drilled."""
+    """Deduplicated citing records; a CR string is parsed to its key once, when first drilled."""
 
     records: tuple[Record, ...]
 
@@ -204,7 +175,7 @@ class Corpus:
         return chain.from_iterable(record.cited_refs for record in self.records)
 
     def iter_refs(self):
-        """Every record's cited references, in order; equal strings share one parse."""
+        """Every record's cited references as keys, in order; equal strings share one parse."""
         return map(cache(parse_cited_reference), self._lines())
 
     @cached_property
@@ -250,16 +221,16 @@ class Corpus:
         or key; works of key author ``UNKNOWN`` are counted as unattributed
         and have no author row.  The same work rows by key put one author's
         works side by side.  Built on the first request for ``year`` from
-        :meth:`year_lines`, parsing and keying each distinct string once,
+        :meth:`year_lines`, parsing each distinct string to its key once,
         and kept, so a later query of the year slices finished rows.  A
-        string has one year, so none is parsed or keyed twice per corpus.
+        string has one year, so none is parsed twice per corpus.
         """
         entry = self._works_by_year.get(year)
         if entry is None:
             works, authors = Counter(), Counter()
             # get() rather than +=, which sends each new key through Counter.__missing__.
             for line, n in self.year_lines(year).items():
-                key = reference_key(parse_cited_reference(line))
+                key = parse_cited_reference(line)
                 works[key] = works.get(key, 0) + n
                 authors[key.author] = authors.get(key.author, 0) + n
             unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
@@ -279,20 +250,6 @@ class Corpus:
         if not self.records:
             return None
         return max(r.pub_year for r in self.records)
-
-
-def reference_key(cr: CitedReference) -> RefKey | None:
-    """Identity tuple of a cited reference; absent when the year is.
-
-    A projection: :func:`parse_cited_reference` already stores the key
-    forms, so a missing author is ``UNKNOWN`` and a missing source, volume
-    or page is ``""``.  Byte-identical CR lines always map to equal keys.
-    """
-    if cr.year is None:
-        return None
-    return RefKey(
-        cr.first_author or UNKNOWN_AUTHOR, cr.year, cr.source or "", cr.volume or "", cr.page or ""
-    )
 
 
 def _surrogate_uid(record: RawRecord) -> str:
@@ -340,7 +297,7 @@ def build_corpus(
     verbatim; nothing is parsed here.  A reader's CR tuple becomes the
     record's ``cited_refs`` without a copy (a hand-built list is copied).
     """
-    diag = CorpusDiagnostics(records_in=len(records))
+    diag = CorpusDiagnostics()
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen: set[str] = set()
     kept: list[Record] = []

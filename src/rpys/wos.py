@@ -6,9 +6,10 @@ Two export layouts are supported:
   tag followed by one space and a value, values continued on lines
   indented by exactly three spaces, each record terminated by ``ER`` and
   the whole file by ``EF``.  ``FN``/``VR`` file-header lines are skipped.
-  After ``EF`` only blank lines may follow, and then the ``FN`` line (after
-  any byte-order mark) of a next export, so exports joined by ``cat`` read
-  as one.
+  After ``EF`` only blank lines may follow, and then a line that passes
+  :func:`detect_format`'s tag-line rule (after any byte-order mark): the
+  first line of a next export, ``FN``, ``VR`` or ``PT`` alike, so exports
+  joined by ``cat`` read as one.
   Inside an open record a continuation line takes priority over every
   other reading, so a continued value that reads ``ER`` ends nothing.
   The reader splits the text once, before each line that is not a
@@ -33,15 +34,15 @@ The layout is a property of each file, read from its first line by
 
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
-here into a :class:`CitedReference` named tuple of author / year / source
-/ volume / page / DOI fields.  Author, source, volume and page are stored
-in the ``key_token`` form that :class:`rpys.corpus.RefKey` holds, so the
-fields are the work key's; ``key_token`` memoizes, so a segment repeated
-across strings is normalized about once.  A year is read by one lookup in
-a table of the strings of the years ``MIN_RPY..MAX_RPY``.
-Parsing is total on any non-blank line: lines that match nothing keep
-only their raw text.  A blank line raises ``ValueError``; both export
-readers drop blank CR lines before they reach the parser.
+here into the :class:`RefKey` of the work it cites: author / year /
+source / volume / page, each text field in its ``key_token`` form.
+``key_token`` memoizes, so a segment repeated across strings is
+normalized about once.  A year is read by one lookup in a table of the
+strings of the years ``MIN_RPY..MAX_RPY``.
+Parsing is total on any non-blank line: a line that matches nothing
+keys as an ``UNKNOWN`` author with no year.  A blank line raises
+``ValueError``; both export readers drop blank CR lines before they
+reach the parser.
 """
 
 from __future__ import annotations
@@ -118,24 +119,35 @@ class RawRecord:
         return " ".join(v.strip() for v in values).strip() or None
 
 
-class CitedReference(NamedTuple):
-    """One cited-reference string with whatever fields could be recovered.
+class RefKey(NamedTuple):
+    """Normalized identity of a cited work, ordered field by field.
 
-    ``raw`` and ``doi`` are verbatim.  ``first_author``, ``source``,
-    ``volume`` and ``page`` are the ``key_token`` forms of their segments,
-    ``None`` when that is empty (and the author also when it is ``UNKNOWN``),
-    so they are the fields of the work's :class:`rpys.corpus.RefKey`.
-    A named tuple, so it is also a plain tuple, and equals one of the same
-    seven values.
+    ``author`` is ``UNKNOWN`` when the string names none, and ``source``,
+    ``volume`` and ``page`` are ``""`` when missing; ``year`` is ``None``
+    for a string without one, which no drill counts.  A named tuple, so
+    hashing, equality and ordering run in C; it is also a plain tuple,
+    and equals one of the same five values.
+
+    DOI is deliberately not part of the identity: DOIs are sparse in
+    older CR strings, and mixing DOI-keyed and field-keyed identities
+    would split counts for the same work.
     """
 
-    raw: str
-    first_author: str | None = None
-    year: int | None = None
-    source: str | None = None
-    volume: str | None = None
-    page: str | None = None
-    doi: str | None = None
+    author: str
+    year: int | None
+    source: str
+    volume: str
+    page: str
+
+    def display(self) -> str:
+        parts = [self.author, str(self.year)]
+        if self.source:
+            parts.append(self.source)
+        if self.volume:
+            parts.append("V" + self.volume)
+        if self.page:
+            parts.append("P" + self.page)
+        return ", ".join(parts)
 
 
 @dataclass
@@ -170,6 +182,11 @@ def _header_cells(line: str) -> list[str] | None:
     return None
 
 
+def _is_tag_line(line: str) -> bool:
+    """A tag, then nothing or one space and the value."""
+    return line[:2] in _TAGS and line[2:3] in ("", " ")
+
+
 def detect_format(text: str) -> str:
     """Classify an export by its first line, after any byte-order mark.
 
@@ -184,7 +201,7 @@ def detect_format(text: str) -> str:
     first = _normalized(text if end < 0 else text[:end])
     if _header_cells(first) is not None:
         return TAB_DELIMITED
-    if first[:2] in _TAGS and first[2:3] in ("", " "):
+    if _is_tag_line(first):
         return TAGGED
     raise UnrecognizedFormatError(
         f"unrecognized export format; first line starts {first[:40]!r}"
@@ -234,7 +251,7 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
     tags: dict[str, list[str]] | None = None  # the open record, if any
     values: list[str] = []  # the open record's current field
     skipping = False  # resyncing to the next ER or EF after a malformed line
-    ended = False  # past an EF, before the FN header of a concatenated export
+    ended = False  # past an EF, before the first tag line of a concatenated export
     lineno = 1  # of the chunk's first line
     for chunk in _FIELD_BREAK.split(text):
         # One line, then the continuation lines after it, without their
@@ -244,13 +261,15 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         else:
             line, more = chunk, ()
         stripped = line.rstrip()
-        if not stripped:
-            pass
-        elif ended:
-            if line.lstrip("\ufeff")[:3] not in ("FN", "FN "):
+        if ended and stripped:
+            # The next export starts here, maybe after a byte-order mark.
+            line = line.lstrip("\ufeff")
+            if not _is_tag_line(line):
                 defect(lineno, "content after EF terminator")
                 return records
-            ended = False
+            stripped, ended = line.rstrip(), False
+        if not stripped:
+            pass
         elif stripped == "ER":
             if tags is not None:
                 records.append(_finalize_record(tags))
@@ -343,64 +362,50 @@ def cited_year(cr_line: str) -> int | None:
     return None
 
 
-def parse_cited_reference(cr_line: str) -> CitedReference:
-    """Parse one cited-reference string into its fields, in one pass.
+def parse_cited_reference(cr_line: str) -> RefKey:
+    """Parse one cited-reference string into its work's key, in one pass.
 
     The line is split on ``", "`` and each segment stripped.  The first
     segment of 4 ASCII digits in [``MIN_RPY``, ``MAX_RPY``] is the year,
     found by one lookup in a table of those years' strings.
     The first segment is the author, unless it is the year (an anonymous
     work).  The segment just after the year is the source, unless it is
-    empty or a volume, page or DOI segment.  The first ``V<digit>...``,
-    ``P<alphanumerics>`` and ``DOI ...`` among the other segments fill
-    volume, page and doi; the rest are ignored.  Each field but doi is
-    stored as the ``key_token`` of its segment, the one normalization a
-    work key gets.  Never raises on a non-blank line (a blank one raises
-    ``ValueError``), and the raw text is always preserved verbatim.
+    empty or a volume, page or DOI segment.  The first ``V<digit>...`` and
+    ``P<alphanumerics>`` among the other segments fill volume and page; a
+    ``DOI ...`` segment fills nothing, and the rest are ignored.  Each
+    field is stored as the ``key_token`` of its segment, the one
+    normalization a work key gets; a missing author is ``UNKNOWN``, a
+    missing source, volume or page ``""``.  Never raises on a non-blank
+    line; a blank one raises ``ValueError``.
 
-    >>> ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
-    >>> ref.first_author, ref.year, ref.source, ref.volume, ref.page, ref.doi
-    ('EINSTEIN A', 1905, 'ANN PHYS-BERLIN', '17', '891', None)
-    >>> ref = parse_cited_reference("Kuhn T.S., 1962, Struct. Sci. Revol., DOI 10.1/x")
-    >>> ref.first_author, ref.year, ref.source, ref.doi
-    ('KUHN TS', 1962, 'STRUCT SCI REVOL', '10.1/x')
-    >>> parse_cited_reference("[Anonymous], 1950, X").first_author
+    >>> parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
+    RefKey(author='EINSTEIN A', year=1905, source='ANN PHYS-BERLIN', volume='17', page='891')
+    >>> parse_cited_reference("Kuhn T.S., 1962, Struct. Sci. Revol., DOI 10.1/x").display()
+    'KUHN TS, 1962, STRUCT SCI REVOL'
+    >>> parse_cited_reference("[Anonymous], 1950, X").author
     'ANONYMOUS'
-    >>> ref = parse_cited_reference("1923, RELATIVITY THEORY")
-    >>> ref.first_author, ref.year, ref.source
-    (None, 1923, 'RELATIVITY THEORY')
+    >>> parse_cited_reference("1923, RELATIVITY THEORY")
+    RefKey(author='UNKNOWN', year=1923, source='RELATIVITY THEORY', volume='', page='')
     """
     stripped = cr_line.strip()
     if not stripped:
         raise ValueError("cited-reference line is empty")
-    author = year = year_idx = source = volume = page = doi = None
+    author, year, year_idx, source, volume, page = UNKNOWN_AUTHOR, None, None, "", "", ""
     for idx, seg in enumerate(stripped.split(", ")):
         seg = seg.strip()
         # Each field keeps its first value; a taken segment fills no other.
         if year is None and seg in _YEARS:
             year, year_idx = _YEARS[seg], idx
         elif idx == 0:
-            author = key_token(seg)
+            author = key_token(seg) or UNKNOWN_AUTHOR
         elif (head := seg[:1]) == "V" and seg[1:2].isdigit():
             volume = volume or key_token(seg[1:])  # never empty: it starts with a digit
         elif head == "P" and seg[1:].isalnum():
             page = page or key_token(seg[1:])  # never empty: alphanumeric
-        elif head == "D" and seg.startswith("DOI "):
-            while seg.startswith("DOI "):  # the prefix is sometimes repeated
-                seg = seg[4:]
-            doi = doi or seg.strip()
-        elif seg and idx - 1 == year_idx:
+        elif seg and idx - 1 == year_idx and not seg.startswith("DOI "):
             source = key_token(seg)
     # Positional, in field order: keywords add about 15% to a warm parse.
-    return CitedReference(
-        cr_line,
-        None if author in ("", UNKNOWN_AUTHOR) else author,
-        year,
-        source or None,
-        volume,
-        page,
-        doi,
-    )
+    return RefKey(author, year, source, volume, page)
 
 
 def decode_export_bytes(data: bytes) -> str:

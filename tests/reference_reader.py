@@ -1,8 +1,9 @@
 """Reference export readers: the earlier per-line readers.
 
 They are kept verbatim but for the rules that let exports joined by
-``cat`` read as one: after an ``EF`` terminator, blank lines and then the
-``FN`` header of a next export may follow, and a later tab-delimited line
+``cat`` read as one: after an ``EF`` terminator, blank lines may follow
+and then a tag line (after any byte-order mark) that starts a next
+export, and a later tab-delimited line
 that passes ``detect_format``'s header rule (after any byte-order mark)
 is the header of the rows after it.  ``detect_format`` also takes any tag
 line, not only ``FN``, as the start of a tagged export, once the
@@ -93,8 +94,8 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
     tags: dict[str, list[str]] | None = None  # the open record, if any
     current_tag = ""
     skipping = False  # resyncing to the next ER or EF after a malformed line
-    numbered = enumerate(lines, start=1)
-    for lineno, line in numbered:
+    ended = False  # past an EF: only blank lines, then a next export's first line
+    for lineno, line in enumerate(lines, start=1):
         # Continuation lines take priority so values that happen to
         # read "ER" cannot terminate the block.
         if tags is not None and line.startswith("   "):
@@ -103,6 +104,14 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
         stripped = line.rstrip()
         if not stripped:
             continue
+        if ended:
+            # Only the first line of a concatenated export, a tag line
+            # (maybe after a byte-order mark), may follow the terminator.
+            line = line.lstrip("\ufeff")
+            if not _TAG_LINE.match(line):
+                defect(lineno, "content after EF terminator")
+                return records
+            stripped, ended = line.rstrip(), False
         if stripped == "ER":
             if tags is not None:
                 records.append(_finalize_record(tags))
@@ -112,18 +121,7 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
         elif stripped == "EF":
             if tags is not None:
                 defect(lineno, "record not terminated by ER before EF")
-            # Only blank lines may follow the file terminator, then the FN
-            # header (maybe after a byte-order mark) of a concatenated export.
-            for lineno, line in numbered:
-                if line.strip():
-                    break
-            else:
-                return records
-            match = _TAG_LINE.match(line.lstrip("\ufeff"))
-            if not (match and match.group(1) == "FN"):
-                defect(lineno, "content after EF terminator")
-                return records
-            tags, skipping = None, False
+            tags, skipping, ended = None, False, True
         elif skipping:
             continue
         elif match := _TAG_LINE.match(line):

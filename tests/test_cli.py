@@ -664,6 +664,30 @@ class TestFlagsAndErrors:
         assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
         assert capsys.readouterr() == joined
 
+    @pytest.mark.parametrize("drop", [("FN",), ("FN", "VR")])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_concatenated_export_without_fn_header_reads_as_one(
+        self, tmp_path, capsys, strict, bom, drop
+    ):
+        # `cat a.txt b.txt > ab.txt` where b.txt lacks its FN line, so it
+        # opens on `VR 1.0` or, without VR too, on `PT J`: after a.txt's EF,
+        # b.txt's first tag line starts the next export.
+        text = "FN WoS\nVR 1.0\nPT J\nSO X\nPY 2000\nUT WOS:1\nCR A B, 1950, X\nER\nEF\n"
+        second = text.replace("2000", "2001").replace("WOS:1", "WOS:2")
+        second = "".join(line for line in second.splitlines(True) if line[:2] not in drop)
+        parts = [text, bom + second]
+        for name, part in [("a.txt", parts[0]), ("b.txt", parts[1]), ("ab.txt", "".join(parts))]:
+            (tmp_path / name).write_text(part, encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        assert main(["stats", "--input", str(tmp_path / "ab.txt"), *flags]) == 0
+        joined = capsys.readouterr()
+        assert joined.err == ""
+        assert joined.out.splitlines()[-1].split() == ["Total", "2", "2"]
+        files = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        assert main(["stats", "--input", files[0], "--input", files[1], *flags]) == 0
+        assert capsys.readouterr() == joined
+
     @pytest.mark.parametrize("bom", ["", "\ufeff"])
     @pytest.mark.parametrize("strict", [False, True])
     def test_concatenated_tab_delimited_exports_read_as_one(self, tmp_path, capsys, strict, bom):

@@ -11,7 +11,6 @@ PUBLIC = {
     "TAGGED",
     "TAB_DELIMITED",
     "RawRecord",
-    "CitedReference",
     "ParseDiagnostics",
     "UnrecognizedFormatError",
     "ExportParseError",
@@ -26,7 +25,6 @@ PUBLIC = {
     "CorpusStats",
     "CorpusDiagnostics",
     "CorpusError",
-    "reference_key",
     "build_corpus",
     "corpus_stats",
     "Spectrum",
@@ -58,7 +56,7 @@ DRILL = {
 
 
 def test_all_is_the_public_set():
-    assert len(rpys.__all__) == len(PUBLIC) == 38
+    assert len(rpys.__all__) == len(PUBLIC) == 36
     assert set(rpys.__all__) == PUBLIC
     assert all(hasattr(rpys, name) for name in PUBLIC)
 

@@ -33,7 +33,6 @@ from rpys import (
     median_deviation,
     parse_cited_reference,
     profile_all_peaks,
-    reference_key,
     round_share,
 )
 from rpys.textnorm import key_token
@@ -287,8 +286,8 @@ def test_cli_drill_reads_only_its_year(monkeypatch, tmp_path, author):
     assert "by_year" not in vars(corpus)
 
 
-# Reference drill: one reference_key call per cited-reference line, a full
-# sort, and a scan of every reference instead of the year index.
+# Reference drill: one key per cited-reference line, a full sort, and a
+# scan of every reference instead of the year index.
 
 
 def _sorted_rows(counts, top_k=None):
@@ -296,7 +295,7 @@ def _sorted_rows(counts, top_k=None):
 
 
 def _per_line_work_rows(refs, top_k=None):
-    works = Counter(map(reference_key, refs))
+    works = Counter(refs)
     return tuple(
         WorkShare(key, count, round_share(count, len(refs)))
         for key, count in _sorted_rows(works, top_k)
@@ -306,7 +305,7 @@ def _per_line_work_rows(refs, top_k=None):
 def _per_line_drill_year(corpus, year, top_k):
     refs = [ref for ref in corpus.iter_refs() if ref.year == year]
     total = len(refs)
-    names = (reference_key(ref).author for ref in refs)
+    names = (ref.author for ref in refs)
     authors = Counter(name for name in names if name != UNKNOWN_AUTHOR)
     return YearProfile(
         year=year,
@@ -322,7 +321,7 @@ def _per_line_drill_year(corpus, year, top_k):
 
 def _per_line_author_breakdown(corpus, author, year):
     refs = [ref for ref in corpus.iter_refs() if ref.year == year]
-    refs = [ref for ref in refs if reference_key(ref).author == author]
+    refs = [ref for ref in refs if ref.author == author]
     return AuthorWorkBreakdown(author, year, len(refs), _per_line_work_rows(refs))
 
 
@@ -385,8 +384,8 @@ def test_drills_match_per_line_reference(corpus):
     for year in years:
         for top_k in (1, 2, 3, 10, 1000):
             assert drill_year(corpus, year, top_k) == _per_line_drill_year(corpus, year, top_k)
-        authors = {ref.first_author for ref in corpus.iter_refs() if ref.year == year}
-        for author in sorted(authors - {None}) + ["ABSENT Z"]:
+        authors = {ref.author for ref in corpus.iter_refs() if ref.year == year}
+        for author in sorted(authors - {UNKNOWN_AUTHOR}) + ["ABSENT Z"]:
             assert author_breakdown(corpus, author, year) == _per_line_author_breakdown(
                 corpus, author, year
             )
@@ -440,16 +439,17 @@ def test_year_scan_matches_year_index(corpus):
     assert [drill_year(spectrum_first, year) for year in years] == drills
 
 
-def test_reference_key_called_once_per_distinct_string_per_corpus(monkeypatch, drill_corpus):
-    # The first drill of a year keys each of its distinct strings; every later
-    # query on the same corpus reads those keys back from Corpus.year_works.
+def test_parse_called_once_per_distinct_string_per_corpus(monkeypatch, drill_corpus):
+    # The first drill of a year parses each of its distinct strings to its
+    # key; every later query on the same corpus reads those keys back from
+    # Corpus.year_works.
     keyed = []
 
-    def counted(ref):
-        keyed.append(ref.raw)
-        return reference_key(ref)
+    def counted(line):
+        keyed.append(line)
+        return parse_cited_reference(line)
 
-    monkeypatch.setattr(rpys.corpus, "reference_key", counted)
+    monkeypatch.setattr(rpys.corpus, "parse_cited_reference", counted)
     lines = drill_corpus.by_year[1905]
     assert (lines.total(), len(lines)) == (100, 70)
 
@@ -468,7 +468,7 @@ def test_reference_key_called_once_per_distinct_string_per_corpus(monkeypatch, d
 @pytest.mark.parametrize("index_first", [False, True])
 def test_drilled_year_is_not_read_again(monkeypatch, drill_corpus, index_first):
     # Once a year is drilled, its queries read Corpus.year_works alone: no
-    # string of the year is scanned for its year, parsed or keyed again,
+    # string of the year is scanned for its year or parsed again,
     # whether the year index was built before that drill, after it or never.
     calls = Counter()
 
@@ -481,12 +481,12 @@ def test_drilled_year_is_not_read_again(monkeypatch, drill_corpus, index_first):
 
         return wrapper
 
-    for name in ("cited_year", "parse_cited_reference", "reference_key"):
+    for name in ("cited_year", "parse_cited_reference"):
         monkeypatch.setattr(rpys.corpus, name, counted(name))
     if index_first:
         drill_corpus.by_year  # builds the year index
     first = drill_year(drill_corpus, 1905)
-    assert calls["parse_cited_reference"] == calls["reference_key"] == 70
+    assert calls["parse_cited_reference"] == 70
 
     for index_built in (index_first, True):
         assert ("by_year" in vars(drill_corpus)) == index_built
@@ -590,7 +590,7 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
     # never; each answer equals the per-line oracle on a fresh corpus.
     fresh = Corpus(corpus.records)
     years = sorted({ref.year for ref in fresh.iter_refs()} - {None}) + [1777]
-    authors = sorted({ref.first_author for ref in fresh.iter_refs()} - {None}) + ["ABSENT Z"]
+    authors = sorted({ref.author for ref in fresh.iter_refs()} - {UNKNOWN_AUTHOR}) + ["ABSENT Z"]
     queries = data.draw(
         st.lists(
             st.tuples(
@@ -645,7 +645,7 @@ def test_parsed_first_author_is_its_drill_row_name(author):
     # The parser and the drill name an author by one normalization.
     line = f"{author}, 1950, LETTER"
     profile = drill_year(corpus_of_lines([line]), 1950)
-    assert [row.name for row in profile.author_rows] == [parse_cited_reference(line).first_author]
+    assert [row.name for row in profile.author_rows] == [parse_cited_reference(line).author]
 
 
 # WoS writes "[Anonymous]" for a work with no author and puts "*" before a

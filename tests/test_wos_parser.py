@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from rpys import (
     UNKNOWN_AUTHOR,
-    CitedReference,
     ExportParseError,
     RawRecord,
+    RefKey,
     UnrecognizedFormatError,
     build_corpus,
     detect_format,
     load_export,
     parse_cited_reference,
     parse_export,
-    reference_key,
 )
 from rpys import textnorm
 from rpys.wos import (
@@ -112,12 +111,16 @@ class TestTaggedParsing:
         assert f"line {lineno}" in str(err.value)
 
     def test_text_after_ef(self):
-        text = tagged_export([citing_record("WOS:1")]) + "PT J\nER\n"
+        # After EF only a next export's first line, a tag line, may follow.
+        export = tagged_export([citing_record("WOS:1")])
+        text = export + "trailing text\n"
         records, diag = parse_export(text)
         assert len(records) == 1
         assert diag.malformed_records == 1
         with pytest.raises(ExportParseError):
             parse_export(text, strict=True)
+        records, _ = parse_export(export + "PT J\nER\n", strict=True)
+        assert records[1:] == [RawRecord({"PT": ("J",)})]
 
     def test_concatenated_exports(self):
         # Blank lines may sit between one export's EF and the next one's FN.
@@ -211,7 +214,7 @@ _DEFECT_CASES = {
         TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nEF\nPT J\n",
         ["WOS:1"],
-        [6, 9],
+        [6, 10],
         "line 6: expected a tag line",
     ),
     "junk_inside_record": (
@@ -229,19 +232,19 @@ _DEFECT_CASES = {
         [8],
         "line 8: record not terminated by ER before EF",
     ),
-    "content_after_ef": (
+    "non_tag_line_after_ef": (
         TAGGED,
-        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \nPT J\nER\n",
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \n?? junk\nPT J\nUT WOS:2\nER\n",
         ["WOS:1"],
         [8],
         "line 8: content after EF terminator",
     ),
-    "content_between_exports": (
+    "orphan_er_after_ef": (
         TAGGED,
-        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n\nVR 1.0\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n",
-        ["WOS:1"],
-        [8],
-        "line 8: content after EF terminator",
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n\ufeffER\nPT J\nUT WOS:2\nER\n",
+        ["WOS:1", "WOS:2"],
+        [7],
+        "line 7: record terminator without an open record",
     ),
     "continuation_after_ef": (
         TAGGED,
@@ -280,6 +283,30 @@ def test_each_defect_reported_at_its_line(fmt, text, kept, positions, message):
         parse_export(text, fmt, strict=True)
     assert str(err.value) == message
     assert err.value.line == positions[0]
+
+
+# After EF and blank lines, a tag line starts the next export, whatever
+# its tag: layout, text, UTs of the records read (in either mode).
+_NEXT_EXPORT_CASES = {
+    "content_after_ef": (
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \nPT J\nER\n",
+        ["WOS:1", None],
+    ),
+    "content_between_exports": (
+        "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n\nVR 1.0\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n",
+        ["WOS:1", "WOS:2"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, kept", list(_NEXT_EXPORT_CASES.values()), ids=list(_NEXT_EXPORT_CASES)
+)
+def test_tag_line_after_ef_starts_the_next_export(text, kept):
+    for strict in (False, True):
+        records, diag = parse_export(text, strict=strict)
+        assert [r.first("UT") for r in records] == kept
+        assert diag.malformed_positions == []
 
 
 class TestTabDelimited:
@@ -434,39 +461,41 @@ class TestTupleValuedRecords:
 class TestCitedReferenceGrammar:
     def test_article_with_volume_and_page(self):
         ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891")
-        assert ref.first_author == "EINSTEIN A"
+        assert ref.author == "EINSTEIN A"
         assert ref.year == 1905
         assert ref.source == "ANN PHYS-BERLIN"
         assert ref.volume == "17"
         assert ref.page == "891"
-        assert ref.doi is None
 
     def test_book_without_volume(self):
         ref = parse_cited_reference("KUHN TS, 1970, STRUCTURE SCI REVOLU")
-        assert ref.first_author == "KUHN TS"
+        assert ref.author == "KUHN TS"
         assert ref.year == 1970
         assert ref.source == "STRUCTURE SCI REVOLU"
-        assert ref.volume is None and ref.page is None
+        assert ref.volume == ref.page == ""
 
-    def test_missing_year_keeps_raw(self):
-        line = "HUME DAVID, TREATISE HUMAN NATUR"
-        ref = parse_cited_reference(line)
-        assert ref.first_author == "HUME DAVID"
+    def test_missing_year_keeps_the_author(self):
+        ref = parse_cited_reference("HUME DAVID, TREATISE HUMAN NATUR")
+        assert ref.author == "HUME DAVID"
         assert ref.year is None
-        assert ref.source is None
-        assert ref.raw == line
+        assert ref.source == ""
 
     def test_year_first_anonymous_work(self):
         ref = parse_cited_reference("1923, RELATIVITY THEORY")
-        assert ref.first_author is None
+        assert ref.author == UNKNOWN_AUTHOR
         assert ref.year == 1923
         assert ref.source == "RELATIVITY THEORY"
 
-    def test_doi_segment(self):
+    def test_doi_segment_is_no_field(self):
         ref = parse_cited_reference(
             "SMITH J, 2004, J INFORMETR, V1, P8, DOI 10.1016/j.joi.2006.09.001"
         )
-        assert ref.doi == "10.1016/j.joi.2006.09.001"
+        assert ref == ("SMITH J", 2004, "J INFORMETR", "1", "8")
+
+    @pytest.mark.parametrize("doi", ["DOI 10.1/x", "DOI DOI 10.1/x", "DOI P1"])
+    def test_doi_right_after_the_year_is_no_source(self, doi):
+        ref = parse_cited_reference(f"SMITH J, 2004, {doi}, V1")
+        assert ref == ("SMITH J", 2004, "", "1", "")
 
     def test_year_outside_parse_window_ignored(self):
         assert parse_cited_reference("DOE J, 2101, FUTURE STUD").year is None
@@ -483,17 +512,15 @@ class TestCitedReferenceGrammar:
         with pytest.raises(ValueError):
             parse_cited_reference("   ")
 
-    def test_is_a_plain_tuple_of_its_fields(self):
-        # Documented side effects of the named tuple, as for RefKey.
-        line = "EINSTEIN A, 1905, ANN PHYS, V17, P891"
-        ref = parse_cited_reference(line)
-        fields = (line, "EINSTEIN A", 1905, "ANN PHYS", "17", "891", None)
-        assert isinstance(ref, tuple) and ref == fields
-        assert ref == CitedReference(
-            raw=line, first_author="EINSTEIN A", year=1905, source="ANN PHYS", volume="17",
-            page="891",
+    def test_is_the_works_key(self):
+        # The parser returns the RefKey a drill counts: a named tuple, so
+        # also a plain tuple of its five fields, and immutable.
+        ref = parse_cited_reference("EINSTEIN A, 1905, ANN PHYS, V17, P891")
+        assert type(ref) is RefKey
+        assert ref == ("EINSTEIN A", 1905, "ANN PHYS", "17", "891")
+        assert ref == RefKey(
+            author="EINSTEIN A", year=1905, source="ANN PHYS", volume="17", page="891"
         )
-        assert CitedReference(raw="X") == ("X", None, None, None, None, None, None)
         with pytest.raises(AttributeError):
             ref.year = 1906
         assert ref.year == 1905
@@ -502,7 +529,8 @@ class TestCitedReferenceGrammar:
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
     def test_total_on_arbitrary_text(self, line):
         ref = parse_cited_reference(line)
-        assert ref.raw == line
+        assert type(ref) is RefKey
+        assert ref.author and all(isinstance(f, str) for f in ref[2:])
         if ref.year is not None:
             assert 1000 <= ref.year <= 2100
 
@@ -537,7 +565,7 @@ def _doi_value(segment: str) -> str:
     return segment.strip()
 
 
-def _two_pass_parse(cr_line: str) -> CitedReference:
+def _two_pass_parse(cr_line: str) -> refkey_oracle.ParsedReference:
     stripped = cr_line.strip()
     if not stripped:
         raise ValueError("cited-reference line is empty")
@@ -580,7 +608,7 @@ def _two_pass_parse(cr_line: str) -> CitedReference:
         elif doi is None and _is_doi(seg):
             doi = _doi_value(seg)
 
-    return CitedReference(
+    return refkey_oracle.ParsedReference(
         raw=cr_line,
         first_author=first_author,
         year=year,
@@ -614,37 +642,34 @@ _segment_st = st.builds(
 _cr_line_st = st.lists(_segment_st, min_size=1, max_size=8).map(", ".join).filter(str.strip)
 
 
-def _key_form(ref: CitedReference) -> CitedReference:
-    """``ref`` with author, source, volume and page as ``key_token`` forms,
-    each ``None`` when empty, and the author also when it is ``UNKNOWN``."""
-
-    def token(value: str | None) -> str | None:
-        return (refkey_oracle.key_token(value) or None) if value else None
-
-    author = token(ref.first_author)
-    return ref._replace(
-        first_author=None if author == UNKNOWN_AUTHOR else author,
-        source=token(ref.source),
-        volume=token(ref.volume),
-        page=token(ref.page),
-    )
+def _key_form(line: str) -> tuple:
+    """The oracle's key fields of the two-pass parse of ``line``, year or not."""
+    return refkey_oracle.key_fields(_two_pass_parse(line))
 
 
-def _key_fields(key) -> tuple | None:
-    return None if key is None else (key.author, key.year, key.source, key.volume, key.page)
+def _assert_oracle_key(line: str) -> None:
+    """The oracle keys ``line`` as the parser does, ``display()`` included,
+    and gives no key where the parser reads no year."""
+    key = parse_cited_reference(line)
+    oracle = refkey_oracle.reference_key(_two_pass_parse(line))
+    if key.year is None:
+        assert oracle is None
+    else:
+        fields = (oracle.author, oracle.year, oracle.source, oracle.volume, oracle.page)
+        assert key == fields
+        assert key.display() == oracle.display()
 
 
 class TestCitedReferenceDifferential:
     @settings(max_examples=1000)
     @given(_cr_line_st)
     def test_one_pass_matches_two_pass_reference(self, line):
-        assert parse_cited_reference(line) == _key_form(_two_pass_parse(line))
+        assert parse_cited_reference(line) == _key_form(line)
 
     @settings(max_examples=1000)
     @given(_cr_line_st)
     def test_key_matches_two_pass_then_key_on_segment_soup(self, line):
-        key = reference_key(parse_cited_reference(line))
-        assert _key_fields(key) == _key_fields(refkey_oracle.reference_key(_two_pass_parse(line)))
+        _assert_oracle_key(line)
 
 
 # Strings of the common shape
@@ -855,20 +880,19 @@ class TestKeyTokenMemo:
         textnorm.key_token.cache_clear()
         cold = parse_cited_reference(line)
         assert parse_cited_reference(line) == cold
-        assert cold == _key_form(_two_pass_parse(line))
+        assert cold == _key_form(line)
 
 
 @settings(max_examples=1000)
 @given(_shaped_cr_st())
 def test_one_pass_matches_two_pass_on_common_shapes(line):
-    assert parse_cited_reference(line) == _key_form(_two_pass_parse(line))
+    assert parse_cited_reference(line) == _key_form(line)
 
 
 @settings(max_examples=1000)
 @given(_shaped_cr_st())
 def test_key_matches_two_pass_then_key_on_common_shapes(line):
-    key = reference_key(parse_cited_reference(line))
-    assert _key_fields(key) == _key_fields(refkey_oracle.reference_key(_two_pass_parse(line)))
+    _assert_oracle_key(line)
 
 
 # One line of an export in bytes: UTF-8 text, Latin-1 text or any bytes.
@@ -1110,6 +1134,8 @@ class TestReaderDifferential:
     @settings(max_examples=600)
     @given(_soup_export_st, st.booleans())
     @example((TAGGED, "FN WoS\n   x\nPT J\nER"), False)  # a continuation with no record open
+    # after EF, a tag line behind a BOM starts the next export, even an ER
+    @example((TAGGED, "PT J\nER\nEF\n\n\ufeffPT J\nUT X\nER\nEF\nER\n"), False)
     @example((TAGGED, "   PT J\nUT X"), True)  # an indented first line is no continuation
     # a header row of a cat-joined export, behind a BOM and before a CR, is no record
     @example((TAB_DELIMITED, "PT\tPY\tCR\tUT\n\ufeffPT\tPY\tCR\tUT\r\nJ\t1\tA\tB\n"), True)
