@@ -17,8 +17,10 @@ unattributed count rather than silently shrinking the denominator.  The
 year's first query builds its full :class:`YearProfile`, every author and
 work row with its share, in :meth:`Corpus.year_works`, so a string is
 keyed once per corpus and a year ranked once.  Every query reads those
-finished rows: a drill slices them, and a breakdown builds only its
-author's rows, with shares within the author.
+finished rows: a drill slices them, and an author's first breakdown
+builds only its author's rows, with shares within the author, and files
+them in the year's entry for the next.  The results are named tuples,
+as the rows are.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ def round_share(count: int, total: int) -> float:
     return ((2000 * count + total) // (2 * total)) / 10.0
 
 
-@dataclass(frozen=True, slots=True)
-class YearProfile:
-    """Top authors and works cited for one referenced publication year."""
+class YearProfile(NamedTuple):
+    """Top authors and works cited for one referenced publication year, a plain tuple too."""
 
     year: int
     total_refs: int
@@ -115,9 +116,8 @@ class YearProfile:
     unattributed: int
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorWorkBreakdown:
-    """One author's cited works within one year, with within-author shares."""
+class AuthorWorkBreakdown(NamedTuple):
+    """One author's cited works within one year, with within-author shares, a plain tuple too."""
 
     author: str
     year: int
@@ -126,6 +126,9 @@ class AuthorWorkBreakdown:
 
 
 _key_author, _count = attrgetter("key.author"), itemgetter(1)
+
+# A year's drill memo entry; see Corpus.year_works.
+_YearMemo = tuple[YearProfile, tuple[WorkShare, ...], dict[str, AuthorWorkBreakdown]]
 
 
 def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
@@ -210,11 +213,12 @@ class Corpus:
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @cached_property
-    def _works_by_year(self) -> dict[int, tuple[YearProfile, tuple[WorkShare, ...]]]:
+    def _works_by_year(self) -> dict[int, _YearMemo]:
         return {}
 
-    def year_works(self, year: int) -> tuple[YearProfile, tuple[WorkShare, ...]]:
-        """``year``'s drill memo: its full profile, and its work rows by key.
+    def year_works(self, year: int) -> _YearMemo:
+        """``year``'s drill memo: its full profile, its work rows by key, and
+        its breakdowns so far, by author.
 
         The profile holds every author and work row with its share of all
         the year's references, each ranked by count descending then name
@@ -223,7 +227,9 @@ class Corpus:
         works side by side.  Built on the first request for ``year`` from
         :meth:`year_lines`, parsing each distinct string to its key once,
         and kept, so a later query of the year slices finished rows.  A
-        string has one year, so none is parsed twice per corpus.
+        string has one year, so none is parsed twice per corpus.  The
+        breakdowns start empty; :func:`author_breakdown` files each
+        non-empty one there, so they number at most the year's works.
         """
         entry = self._works_by_year.get(year)
         if entry is None:
@@ -237,8 +243,8 @@ class Corpus:
             total = works.total()
             author_rows, _ = _ranked(AuthorShare, authors, total)
             work_rows, works_by_key = _ranked(WorkShare, works, total)
-            entry = YearProfile(year, total, author_rows, work_rows, unattributed), works_by_key
-            self._works_by_year[year] = entry
+            profile = YearProfile(year, total, author_rows, work_rows, unattributed)
+            entry = self._works_by_year[year] = profile, works_by_key, {}
         return entry
 
     @property
@@ -369,16 +375,24 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
     key_token yields and drill_year reports): one run of the year's works by
     key, found by bisection and ranked by count, ties by key as in the
     year's ranking.  An author absent in that year yields an empty breakdown.
+    A non-empty breakdown is kept in the year's :meth:`Corpus.year_works`
+    entry, so asking again returns the same object and builds no row; an
+    empty one is built again on each call and never kept.
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    works = corpus.year_works(year)[1]
-    start = bisect_left(works, author, key=_key_author)
-    run = works[start : bisect_right(works, author, start, key=_key_author)]
-    rows = sorted(run, key=_count, reverse=True)  # stable, so ties stay by key
-    total = sum(map(_count, rows))
-    shares = tuple(WorkShare(key, n, round_share(n, total)) for key, n, _ in rows)
-    return AuthorWorkBreakdown(author, year, total, shares)
+    _, works, breakdowns = corpus.year_works(year)
+    breakdown = breakdowns.get(author)
+    if breakdown is None:
+        start = bisect_left(works, author, key=_key_author)
+        run = works[start : bisect_right(works, author, start, key=_key_author)]
+        rows = sorted(run, key=_count, reverse=True)  # stable, so ties stay by key
+        total = sum(map(_count, rows))
+        shares = tuple(WorkShare(key, n, round_share(n, total)) for key, n, _ in rows)
+        breakdown = AuthorWorkBreakdown(author, year, total, shares)
+        if shares:
+            breakdowns[author] = breakdown
+    return breakdown
 
 
 def profile_all_peaks(corpus: Corpus, peaks: list[Peak], top_k: int = 10) -> list[YearProfile]:

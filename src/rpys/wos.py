@@ -126,7 +126,9 @@ class RefKey(NamedTuple):
     ``volume`` and ``page`` are ``""`` when missing; ``year`` is ``None``
     for a string without one, which no drill counts.  A named tuple, so
     hashing, equality and ordering run in C; it is also a plain tuple,
-    and equals one of the same five values.
+    and equals one of the same five values.  Being plain tuple order, a
+    key without a year does not order against a dated key of the same
+    author: comparing ``None`` with an ``int`` raises ``TypeError``.
 
     DOI is deliberately not part of the identity: DOIs are sparse in
     older CR strings, and mixing DOI-keyed and field-keyed identities
@@ -140,7 +142,14 @@ class RefKey(NamedTuple):
     page: str
 
     def display(self) -> str:
-        parts = [self.author, str(self.year)]
+        """The key as reference-style text, leaving out the fields it lacks.
+
+        >>> RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "891").display()
+        'EINSTEIN A, 1905, ANN PHYS, V17, P891'
+        >>> RefKey("HUME D", None, "", "", "").display()
+        'HUME D'
+        """
+        parts = [self.author] if self.year is None else [self.author, str(self.year)]
         if self.source:
             parts.append(self.source)
         if self.volume:
@@ -311,7 +320,9 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         lineno += 1 + len(more)
 
     if tags is not None:
-        defect(lineno - 1, "record not terminated by ER at end of input")
+        # lineno - 1 numbers the text's last "\n"-separated piece; when the
+        # text ends in a newline, that piece is empty and no line of the file.
+        defect(lineno - 1 - text.endswith("\n"), "record not terminated by ER at end of input")
     return records
 
 

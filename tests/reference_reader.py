@@ -140,7 +140,9 @@ def _parse_tagged(lines: list[str], defect: _Defect) -> list[RawRecord]:
             tags, skipping = None, True
 
     if tags is not None:
-        defect(len(lines), "record not terminated by ER at end of input")
+        # The file's last line: a text ending in a newline splits into one
+        # more, empty, piece.
+        defect(len(lines) - (lines[-1] == ""), "record not terminated by ER at end of input")
     return records
 
 

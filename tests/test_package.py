@@ -1,9 +1,16 @@
-"""The package's public names: the set, and where the drill's come from."""
+"""The package's public names: the set, where the drill's come from, and
+the README's library example."""
 
 from __future__ import annotations
 
+import re
+import shutil
+from pathlib import Path
+
 import rpys
 import rpys.corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "__version__",
@@ -66,3 +73,17 @@ def test_drill_names_are_those_of_corpus():
     for name in DRILL:
         assert getattr(rpys, name) is getattr(rpys.corpus, name), name
 
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    # The README's example, run on an export that holds three ERKENNTNIS
+    # records, so a change to the names or result types it uses fails here.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S).group(1)
+    shutil.copy(ROOT / "tests" / "fixtures" / "pinned_tagged.txt", tmp_path / "savedrecs.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "1905 3 AuthorShare(name='EINSTEIN A', count=2, share=50.0)",
+        "1927 1 AuthorShare(name='WINTERS R', count=1, share=100.0)",
+    ]

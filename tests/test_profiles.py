@@ -73,11 +73,25 @@ class TestRoundShare:
 
 
 def test_rows_are_plain_tuples_of_their_fields():
-    # Documented side effects of the named tuples, as for RefKey.
+    # Documented side effects of the named tuples, as for RefKey: each row and
+    # result equals a plain tuple of its fields, takes them by keyword as well,
+    # and refuses assignment.
     key = RefKey("EINSTEIN A", 1905, "ANN PHYS", "17", "891")
-    assert WorkShare(key, 3, 12.5) == (tuple(key), 3, 12.5)
-    assert AuthorShare("EINSTEIN A", 3, 12.5) == ("EINSTEIN A", 3, 12.5)
-    assert isinstance(WorkShare(key, 3, 12.5), tuple)
+    work, author = WorkShare(key, 3, 12.5), AuthorShare("EINSTEIN A", 3, 12.5)
+    assert work == (tuple(key), 3, 12.5)
+    cases = [
+        (WorkShare, (key, 3, 12.5)),
+        (AuthorShare, ("EINSTEIN A", 3, 12.5)),
+        (YearProfile, (1905, 24, (author,), (work,), 1)),
+        (AuthorWorkBreakdown, ("EINSTEIN A", 1905, 3, (work,))),
+    ]
+    for row_type, values in cases:
+        row = row_type(*values)
+        assert isinstance(row, tuple)
+        assert row == values
+        assert row_type(**dict(zip(row_type._fields, values))) == row
+        with pytest.raises(AttributeError):
+            setattr(row, row_type._fields[0], values[0])
 
 
 class TestDrillYear:
@@ -173,6 +187,18 @@ class TestAuthorBreakdown:
         breakdown = author_breakdown(corpus_of_lines(["X A, 1950, SRC"]), "Y B", 1950)
         assert breakdown.total_refs == 0
         assert breakdown.rows == ()
+
+    def test_absent_author_is_not_kept(self):
+        # The year's memo keeps non-empty breakdowns only, so it stays bounded
+        # by the year's works however many absent names are asked.
+        corpus = corpus_of_lines(["X A, 1950, SRC"])
+        present = author_breakdown(corpus, "X A", 1950)
+        kept = corpus.year_works(1950)[2]
+        assert kept == {"X A": present}
+        for name in ("Y B", "X", "X A "):
+            assert author_breakdown(corpus, name, 1950) == AuthorWorkBreakdown(name, 1950, 0, ())
+        assert kept == {"X A": present}
+        assert author_breakdown(corpus, "X A", 1950) is present
 
     def test_unknown_bucket_rejected(self):
         with pytest.raises(ValueError):
@@ -502,7 +528,8 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
     # A year's first drill tallies and ranks its works and authors in full and
     # builds every share row; every later query of the year slices those rows,
     # at any top_k, so it builds no Counter, ranks nothing and builds no row.
-    # A breakdown builds its author's rows only, with shares within the author.
+    # An author's first breakdown builds its author's rows only, with shares
+    # within the author; a later one builds nothing.
     calls = Counter()
     counter_init, ranked = Counter.__init__, rpys.corpus._ranked
 
@@ -537,6 +564,10 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
         built = len(breakdowns[-1].rows)
         assert calls == {"WorkShare": built, "round_share": built}
         calls.clear()
+    # An author's later breakdown is its first, kept in the year's memo entry.
+    for row, breakdown in zip(rows, breakdowns):
+        assert author_breakdown(drill_corpus, row.name, 1905) is breakdown
+    assert not calls
     monkeypatch.undo()
 
     assert profiles[0] == first

@@ -214,7 +214,7 @@ _DEFECT_CASES = {
         TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nEF\nPT J\n",
         ["WOS:1"],
-        [6, 10],
+        [6, 9],
         "line 6: expected a tag line",
     ),
     "junk_inside_record": (
@@ -257,8 +257,8 @@ _DEFECT_CASES = {
         TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nPT J\nUT WOS:2\n",
         ["WOS:1"],
-        [8],
-        "line 8: record not terminated by ER at end of input",
+        [7],
+        "line 7: record not terminated by ER at end of input",
     ),
     "tsv_column_count": (
         TAB_DELIMITED,
@@ -283,6 +283,20 @@ def test_each_defect_reported_at_its_line(fmt, text, kept, positions, message):
         parse_export(text, fmt, strict=True)
     assert str(err.value) == message
     assert err.value.line == positions[0]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "none"])
+@pytest.mark.parametrize(
+    "parse", [parse_export, reference_reader.parse_export], ids=["wos", "reference"]
+)
+def test_unterminated_last_record_is_reported_at_the_last_line(parse, end):
+    # A 6-line file names its line 6, whether or not that line ends in a newline.
+    text = (end or "\n").join(["FN WoS", "VR 1.0", "PT J", "UT WOS:1", "ER", "PT J"]) + end
+    records, diag = parse(text, TAGGED)
+    assert [r.first("UT") for r in records] == ["WOS:1"]
+    assert diag.malformed_positions == [6]
+    with pytest.raises(ExportParseError, match="^line 6: record not terminated by ER"):
+        parse(text, TAGGED, strict=True)
 
 
 # After EF and blank lines, a tag line starts the next export, whatever
