@@ -31,7 +31,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from operator import attrgetter, itemgetter, methodcaller
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -199,17 +199,18 @@ class Corpus:
     def year_lines(self, year: int) -> Counter[str]:
         """``year``'s CR strings, counted; read-only to callers.
 
-        :attr:`by_year`'s entry once that is built.  Before, one pass over
-        all CR lines keeps those containing ``str(year)`` and reads the
-        year of only those distinct strings; nothing is kept, so a caller
-        that drills many years should build :attr:`by_year` first.  The
-        filter drops no match: :func:`cited_year` returns ``int(seg)`` of a
+        :attr:`by_year`'s entry once that is built.  Before, one pass tests
+        each CR line inline for the year's four digits, then reads the year
+        of each distinct match once; nothing is kept, so a caller that
+        drills many years should build :attr:`by_year` first.  The test
+        drops no match: :func:`cited_year` returns ``int(seg)`` of a
         4-digit segment in ``MIN_RPY..MAX_RPY`` (1000..2100), so ``seg``
         has no leading zero, and ``str(year) == seg`` is part of the string.
         """
         if "by_year" in vars(self):
             return self.by_year.get(year, Counter())
-        lines = Counter(filter(methodcaller("__contains__", str(year)), self._lines()))
+        digits = str(year)
+        lines = Counter([line for line in self._lines() if digits in line])
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
     @cached_property

@@ -286,12 +286,18 @@ _NEAR_MISSES = [
 ]
 
 
+@pytest.mark.parametrize("layout", ["tagged", "tsv"])
 @pytest.mark.parametrize("author", [None, "Einstein, A."])
-def test_cli_drill_reads_only_its_year(monkeypatch, tmp_path, author):
+def test_cli_drill_reads_only_its_year(monkeypatch, tmp_path, author, layout):
     crs = drill_1905_crs() + _NEAR_MISSES + ["KUHN TS, 1962, STRUCTURE", "B C, 1962, V905"] * 3
     path = tmp_path / "export.txt"
-    blocks = [citing_record(f"WOS:{i}", crs=crs[i::4]) for i in range(4)]
-    path.write_text(tagged_export(blocks), encoding="utf-8")
+    if layout == "tagged":
+        blocks = [citing_record(f"WOS:{i}", crs=crs[i::4]) for i in range(4)]
+        path.write_text(tagged_export(blocks), encoding="utf-8")
+    else:
+        # The tab-delimited layout holds each record's CR list in one cell, split at "; ".
+        rows = [f"J\tERKENNTNIS\t2010\t{'; '.join(crs[i::4])}\tWOS:{i}\n" for i in range(4)]
+        path.write_text("PT\tSO\tPY\tCR\tUT\n" + "".join(rows), encoding="utf-8")
     calls, loaded = [], []
 
     def counted(line):
