@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import glob
-import hashlib
 import io
 import json
 import math
@@ -308,6 +307,8 @@ def _slug(name: str) -> str:
     slug = quote(name, safe=" ").lower().replace(" ", "_")
     if len(slug) <= _SLUG_MAX:
         return slug
+    import hashlib  # here, not at module level: only an overlong name needs it
+
     head = re.sub("%.?$", "", slug[: _SLUG_MAX - 17])
     return f"{head}~{hashlib.sha256(name.encode()).hexdigest()[:16]}"
 

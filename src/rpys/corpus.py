@@ -25,13 +25,12 @@ as the rows are.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -142,37 +141,49 @@ def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
     return tuple(rows), by_item
 
 
-@dataclass(frozen=True, slots=True)
-class JournalStats:
+class JournalStats(NamedTuple):
     journal: str
     records: int
     cited_refs: int
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
-    """Per-journal record and cited-reference counts plus totals."""
+class CorpusStats(NamedTuple):
+    """Per-journal record and cited-reference counts plus totals, a plain tuple too."""
 
     rows: tuple[JournalStats, ...]
     total_records: int
     total_cited_refs: int
 
 
-@dataclass
-class CorpusDiagnostics:
-    """Bookkeeping for one build_corpus call."""
+class CorpusDiagnostics(SimpleNamespace):
+    """Bookkeeping for one build_corpus call; a namespace, as ParseDiagnostics is."""
 
-    records_kept: int = 0
-    duplicates_skipped: int = 0
-    excluded_missing_fields: int = 0
-    excluded_by_filter: int = 0
+    def __init__(
+        self,
+        records_kept: int = 0,
+        duplicates_skipped: int = 0,
+        excluded_missing_fields: int = 0,
+        excluded_by_filter: int = 0,
+    ):
+        super().__init__(
+            records_kept=records_kept,
+            duplicates_skipped=duplicates_skipped,
+            excluded_missing_fields=excluded_missing_fields,
+            excluded_by_filter=excluded_by_filter,
+        )
 
 
-@dataclass(frozen=True)
 class Corpus:
     """Deduplicated citing records; a CR string is parsed to its key once, when first drilled."""
 
-    records: tuple[Record, ...]
+    def __init__(self, records: tuple[Record, ...]):
+        self.records = records
+
+    def __eq__(self, other):
+        return self.records == other.records if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Corpus(records={self.records!r})"
 
     def _lines(self):
         return chain.from_iterable(record.cited_refs for record in self.records)
@@ -272,6 +283,8 @@ def _surrogate_uid(record: RawRecord) -> str:
             record.joined("TI") or "",
         ]
     )
+    import hashlib  # here, not at module level: only UT-less records need it
+
     digest = hashlib.sha1(basis.encode("utf-8")).hexdigest()
     return "SYN:" + digest[:16]
 

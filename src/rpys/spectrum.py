@@ -13,8 +13,8 @@ occur).  Floats would drift under equality testing; Fractions do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .corpus import Corpus
 from .wos import MAX_RPY
@@ -22,14 +22,13 @@ from .wos import MAX_RPY
 DEFAULT_MIN_RPY = 1500
 
 
-@dataclass(frozen=True, slots=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Dense per-year cited-reference counts over an inclusive year range.
 
     ``year_range`` is None for an empty spectrum.  Years with no
     references inside the range hold explicit zeros.  Every reference of
     the corpus lands in exactly one of ``total``, ``dropped_out_of_range``
-    and ``without_year``.
+    and ``without_year``.  A named tuple, so a plain tuple too.
     """
 
     year_range: tuple[int, int] | None
@@ -56,9 +55,8 @@ class Spectrum:
         return self.counts[year - self.year_range[0]]
 
 
-@dataclass(frozen=True, slots=True)
-class DeviationSeries:
-    """Per-year count, clipped five-year median, and deviation."""
+class DeviationSeries(NamedTuple):
+    """Per-year count, clipped five-year median, and deviation, a plain tuple too."""
 
     year_range: tuple[int, int]
     n_cr: tuple[int, ...]
@@ -79,9 +77,8 @@ class DeviationSeries:
         return self.n_cr[i], self.median5[i], self.deviation[i]
 
 
-@dataclass(frozen=True, slots=True)
-class Peak:
-    """A positive local maximum of the deviation series."""
+class Peak(NamedTuple):
+    """A positive local maximum of the deviation series, a plain tuple too."""
 
     year: int
     deviation: Fraction

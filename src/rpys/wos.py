@@ -51,8 +51,8 @@ import codecs
 import re
 import string
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -94,15 +94,24 @@ class ExportParseError(ValueError):
         self.line = line
 
 
-@dataclass(slots=True)
 class RawRecord:
     """One exported record: ordered map of 2-char field tags to value lines.
 
     The readers store each tag's values as a tuple; a record built by hand
-    with lists of values reads the same through these methods.
+    with lists of values reads the same through these methods.  Slotted,
+    so a record has no instance ``__dict__``.
     """
 
-    tags: dict[str, Sequence[str]] = field(default_factory=dict)
+    __slots__ = ("tags",)
+
+    def __init__(self, tags: dict[str, Sequence[str]] | None = None):
+        self.tags = {} if tags is None else tags
+
+    def __eq__(self, other):
+        return self.tags == other.tags if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RawRecord(tags={self.tags!r})"
 
     def get(self, tag: str) -> Sequence[str]:
         return self.tags.get(tag, ())
@@ -159,13 +168,20 @@ class RefKey(NamedTuple):
         return ", ".join(parts)
 
 
-@dataclass
-class ParseDiagnostics:
-    """Bookkeeping for one parsed export file."""
+class ParseDiagnostics(SimpleNamespace):
+    """Bookkeeping for one parsed export file; compares and shows its fields."""
 
-    records_parsed: int = 0
-    cr_lines_parsed: int = 0
-    malformed_positions: list[int] = field(default_factory=list)
+    def __init__(
+        self,
+        records_parsed: int = 0,
+        cr_lines_parsed: int = 0,
+        malformed_positions: list[int] | None = None,
+    ):
+        super().__init__(
+            records_parsed=records_parsed,
+            cr_lines_parsed=cr_lines_parsed,
+            malformed_positions=[] if malformed_positions is None else malformed_positions,
+        )
 
     @property
     def malformed_records(self) -> int:

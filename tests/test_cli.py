@@ -371,6 +371,13 @@ class TestFlagsAndErrors:
         assert main(["stats", "--input", path]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_journal_filter_normalizes_the_record_title_too(self, tmp_path, capsys):
+        path = write_export(tmp_path / "phil.txt", [citing_record("WOS:1", journal="Phil. Sci.")])
+        assert main(["stats", "--input", path, "--journals", "PHIL SCI"]) == 0
+        captured = capsys.readouterr()
+        assert "Phil. Sci." in captured.out
+        assert captured.err == ""
+
     def test_tsv_format_flag(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text(

@@ -275,6 +275,13 @@ class TestBuildCorpus:
         assert [r.uid for r in corpus.records] == ["WOS:1"]
         assert diag.excluded_by_filter == 1
 
+    def test_journal_filter_normalizes_the_record_title_too(self):
+        # "Phil. Sci." is kept by its key_token form, not by its upper-case form.
+        records = _parse([citing_record("WOS:1", journal="Phil. Sci.")])
+        corpus, diag = build_corpus(records, journal_filter={"phil sci"})
+        assert [r.uid for r in corpus.records] == ["WOS:1"]
+        assert diag.excluded_by_filter == 0
+
     def test_lenient_excludes_records_missing_py_or_so(self):
         blocks = [citing_record("WOS:1"), citing_record("WOS:2"), citing_record("WOS:3")]
         del blocks[1]["PY"]
@@ -321,6 +328,19 @@ class TestBuildCorpus:
         corpus, _ = build_corpus(_parse(blocks))
         assert len(corpus.records) == 2
         assert corpus.records[0].uid != corpus.records[1].uid
+
+    @pytest.mark.parametrize("tag", ["TI", "AU", "SO"])
+    def test_surrogate_uid_reads_each_descriptive_field(self, tag):
+        # Two UT-less records that differ only in this field stay two records.
+        blocks = [citing_record("WOS:1"), citing_record("WOS:1")]
+        for block in blocks:
+            del block["UT"]
+        blocks[1][tag] = [blocks[1][tag][0] + " II"]
+        corpus, diag = build_corpus(_parse(blocks))
+        assert diag.duplicates_skipped == 0
+        uids = [r.uid for r in corpus.records]
+        assert len(set(uids)) == 2
+        assert all(uid.startswith("SYN:") for uid in uids)
 
     def test_blank_uid_gets_surrogate(self):
         blocks = [citing_record("WOS:1", year=2010), citing_record("WOS:2", year=2011)]

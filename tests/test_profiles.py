@@ -279,6 +279,7 @@ def test_one_corpus_walked_once(monkeypatch):
 _NEAR_MISSES = [
     "A B, 1962, V1905",
     "A B, 1962, P1905",
+    "A B, 1962, P1907",  # shares 1905's first three digits, not its fourth
     "A B, 01905, X",
     "A B, 19050, X",
     "X, 2101, 1905",

@@ -106,6 +106,11 @@ class TestComputeSpectrum:
         assert spectrum.dropped_out_of_range == 1
         assert spectrum.count_at(1905) == 1
 
+    def test_default_lower_bound_is_1500_inclusive(self):
+        spectrum = compute_spectrum(corpus_of_years([1499, 1500]))
+        assert spectrum.count_at(1500) == 1
+        assert spectrum.dropped_out_of_range == 1
+
     def test_citing_years_before_default_window_drop_every_dated_ref(self):
         spectrum = compute_spectrum(corpus_of_years([1400, 1905], pub_year=1400))
         assert spectrum.is_empty

@@ -1,8 +1,11 @@
-"""The package imports nothing but the standard library and itself, in 3.10 syntax."""
+"""The package imports nothing but the standard library and itself, in 3.10 syntax,
+and its command line starts without the modules it does not need."""
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,33 @@ def test_sources_parse_as_python_3_10():
     assert ROOT / "scripts" / "demo_pipeline.py" in sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Run in a fresh interpreter: the modules ``import rpys.cli`` adds, then
+# the two calls that import hashlib when they need it.
+_IMPORT_GRAPH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import rpys.cli
+added = set(sys.modules) - before
+from rpys import RawRecord, build_corpus
+slug = rpys.cli._slug("A" * (rpys.cli._SLUG_MAX + 1))
+corpus, _ = build_corpus([RawRecord({"SO": ("J",), "PY": ("2010",), "TI": ("T",)})])
+print(json.dumps([sorted(added), slug, corpus.records[0].uid]))
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_hashlib():
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added, slug, uid = json.loads(done.stdout)
+    assert "rpys.cli" in added
+    assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(added)
+    head, digest = slug.split("~")
+    assert head == "a" * len(head) and len(digest) == 16
+    assert uid.startswith("SYN:") and len(uid) == 4 + 16
