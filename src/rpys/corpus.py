@@ -30,7 +30,6 @@ from collections import Counter, defaultdict
 from functools import cache, cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -155,22 +154,13 @@ class CorpusStats(NamedTuple):
     total_cited_refs: int
 
 
-class CorpusDiagnostics(SimpleNamespace):
-    """Bookkeeping for one build_corpus call; a namespace, as ParseDiagnostics is."""
+class CorpusDiagnostics(NamedTuple):
+    """Bookkeeping for one build_corpus call, a plain tuple too."""
 
-    def __init__(
-        self,
-        records_kept: int = 0,
-        duplicates_skipped: int = 0,
-        excluded_missing_fields: int = 0,
-        excluded_by_filter: int = 0,
-    ):
-        super().__init__(
-            records_kept=records_kept,
-            duplicates_skipped=duplicates_skipped,
-            excluded_missing_fields=excluded_missing_fields,
-            excluded_by_filter=excluded_by_filter,
-        )
+    records_kept: int = 0
+    duplicates_skipped: int = 0
+    excluded_missing_fields: int = 0
+    excluded_by_filter: int = 0
 
 
 class Corpus:
@@ -178,6 +168,7 @@ class Corpus:
 
     def __init__(self, records: tuple[Record, ...]):
         self.records = records
+        self._works_by_year: dict[int, _YearMemo] = {}
 
     def __eq__(self, other):
         return self.records == other.records if type(other) is type(self) else NotImplemented
@@ -223,10 +214,6 @@ class Corpus:
         digits = str(year)
         lines = Counter([line for line in self._lines() if digits in line])
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
-
-    @cached_property
-    def _works_by_year(self) -> dict[int, _YearMemo]:
-        return {}
 
     def year_works(self, year: int) -> _YearMemo:
         """``year``'s drill memo: its full profile, its work rows by key, and
@@ -305,19 +292,19 @@ def build_corpus(
     journal_filter: set[str] | None = None,
     strict: bool = False,
 ) -> tuple[Corpus, CorpusDiagnostics]:
-    """Normalize parsed records into a deduplicated corpus.
+    """Deduplicate parsed records into a corpus, counting where each one went.
 
-    Deduplication is by uid, first occurrence wins, so merging input
-    batches in any order yields the same record set.  The uid is the
-    ``UT`` value without surrounding whitespace, or a surrogate when
-    that is blank or absent.  The journal
-    filter matches on the normalized source title.  Records lacking a
-    publication year or source title are errors in strict mode and are
-    excluded (and counted) otherwise.  Records keep their CR strings
-    verbatim; nothing is parsed here.  A reader's CR tuple becomes the
-    record's ``cited_refs`` without a copy (a hand-built list is copied).
+    A record's uid is its ``UT`` value without surrounding whitespace, or
+    a surrogate hashed from its SO, PY, AU and TI when that is blank or
+    absent; the first record of each uid is kept.  A record without a
+    valid publication year or a source title raises :class:`CorpusError`
+    in strict mode and is excluded otherwise, and one whose normalized
+    source title is not in the journal filter is excluded.  Each input
+    record is counted in exactly one field of the diagnostics.  A kept
+    record's CR strings stay verbatim and unparsed; a reader's CR tuple
+    is kept without a copy (a hand-built list is copied).
     """
-    diag = CorpusDiagnostics()
+    duplicates = incomplete = filtered = 0
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen: set[str] = set()
     kept: list[Record] = []
@@ -325,7 +312,7 @@ def build_corpus(
     for raw in records:
         uid = (raw.first("UT") or "").strip() or _surrogate_uid(raw)
         if uid in seen:
-            diag.duplicates_skipped += 1
+            duplicates += 1
             continue
         seen.add(uid)
 
@@ -335,15 +322,15 @@ def build_corpus(
             if strict:
                 missing = "PY" if journal is not None else "SO"
                 raise CorpusError(f"record {uid}: missing or invalid {missing} field")
-            diag.excluded_missing_fields += 1
+            incomplete += 1
             continue
         if wanted is not None and key_token(journal) not in wanted:
-            diag.excluded_by_filter += 1
+            filtered += 1
             continue
 
         kept.append(Record(uid, journal, pub_year, tuple(raw.get("CR"))))
 
-    diag.records_kept = len(kept)
+    diag = CorpusDiagnostics(len(kept), duplicates, incomplete, filtered)
     return Corpus(tuple(kept)), diag
 
 

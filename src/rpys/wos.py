@@ -27,7 +27,7 @@ strings, built once per field: a tab-delimited cell becomes a 1-tuple
 field is a list only while its record is open.  CPython stops tracking
 a tuple of strings, and then a dict of such tuples, in a full garbage
 collection, so after one a loaded record is one object the collector
-tracks, the slotted ``RawRecord`` itself.
+tracks, the ``RawRecord`` named tuple itself.
 
 The layout is a property of each file, read from its first line by
 :func:`detect_format`; :func:`load_export` always detects it.
@@ -52,7 +52,6 @@ import re
 import string
 from collections.abc import Callable, Sequence
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -94,24 +93,15 @@ class ExportParseError(ValueError):
         self.line = line
 
 
-class RawRecord:
+class RawRecord(NamedTuple):
     """One exported record: ordered map of 2-char field tags to value lines.
 
     The readers store each tag's values as a tuple; a record built by hand
-    with lists of values reads the same through these methods.  Slotted,
-    so a record has no instance ``__dict__``.
+    with lists of values reads the same through these methods.  A named
+    tuple, so a record has no instance ``__dict__`` and equals ``(tags,)``.
     """
 
-    __slots__ = ("tags",)
-
-    def __init__(self, tags: dict[str, Sequence[str]] | None = None):
-        self.tags = {} if tags is None else tags
-
-    def __eq__(self, other):
-        return self.tags == other.tags if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RawRecord(tags={self.tags!r})"
+    tags: dict[str, Sequence[str]]
 
     def get(self, tag: str) -> Sequence[str]:
         return self.tags.get(tag, ())
@@ -168,20 +158,12 @@ class RefKey(NamedTuple):
         return ", ".join(parts)
 
 
-class ParseDiagnostics(SimpleNamespace):
-    """Bookkeeping for one parsed export file; compares and shows its fields."""
+class ParseDiagnostics(NamedTuple):
+    """Bookkeeping for one parsed export file, a plain tuple too."""
 
-    def __init__(
-        self,
-        records_parsed: int = 0,
-        cr_lines_parsed: int = 0,
-        malformed_positions: list[int] | None = None,
-    ):
-        super().__init__(
-            records_parsed=records_parsed,
-            cr_lines_parsed=cr_lines_parsed,
-            malformed_positions=[] if malformed_positions is None else malformed_positions,
-        )
+    records_parsed: int = 0
+    cr_lines_parsed: int = 0
+    malformed_positions: tuple[int, ...] = ()
 
     @property
     def malformed_records(self) -> int:
@@ -248,17 +230,16 @@ def parse_export(
         parse = _parse_tab_delimited
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    diag = ParseDiagnostics()
+    positions: list[int] = []
 
     def defect(lineno: int, message: str) -> None:
         if strict:
             raise ExportParseError(f"line {lineno}: {message}", lineno)
-        diag.malformed_positions.append(lineno)
+        positions.append(lineno)
 
     records = parse(_normalized(text), defect)
-    diag.records_parsed = len(records)
-    diag.cr_lines_parsed = sum(len(r.get("CR")) for r in records)
-    return records, diag
+    cr_lines = sum(len(r.get("CR")) for r in records)
+    return records, ParseDiagnostics(len(records), cr_lines, tuple(positions))
 
 
 def _finalize_record(tags: dict[str, list[str]]) -> RawRecord:

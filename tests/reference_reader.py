@@ -65,16 +65,19 @@ def parse_export(
     text: str, fmt: str = TAGGED, strict: bool = False
 ) -> tuple[list[RawRecord], ParseDiagnostics]:
     parse = {TAGGED: _parse_tagged, TAB_DELIMITED: _parse_tab_delimited}[fmt]
-    diag = ParseDiagnostics()
+    positions = []
 
     def defect(lineno: int, message: str) -> None:
         if strict:
             raise ExportParseError(f"line {lineno}: {message}", lineno)
-        diag.malformed_positions.append(lineno)
+        positions.append(lineno)
 
     records = parse(_lines(text), defect)
-    diag.records_parsed = len(records)
-    diag.cr_lines_parsed = sum(len(r.get("CR")) for r in records)
+    diag = ParseDiagnostics(
+        records_parsed=len(records),
+        cr_lines_parsed=sum(len(r.get("CR")) for r in records),
+        malformed_positions=tuple(positions),
+    )
     return records, diag
 
 

@@ -208,24 +208,29 @@ def _reused_cr_records_st(draw):
 
 def _reference_build(records, journal_filter):
     """Reference build_corpus for UT-bearing records, written out longhand."""
-    diag = CorpusDiagnostics()
     wanted = {key_token(j) for j in journal_filter} if journal_filter else None
     seen, kept = set(), []
+    duplicates = excluded_missing = excluded_filter = 0
     for raw in records:
         uid = raw.first("UT")
         if uid in seen:
-            diag.duplicates_skipped += 1
+            duplicates += 1
             continue
         seen.add(uid)
         journal = raw.joined("SO")
         pub_year = _PY_YEARS.get(raw.first("PY"))
         if journal is None or pub_year is None:
-            diag.excluded_missing_fields += 1
+            excluded_missing += 1
         elif wanted is not None and key_token(journal) not in wanted:
-            diag.excluded_by_filter += 1
+            excluded_filter += 1
         else:
             kept.append(Record(uid, journal, pub_year, tuple(raw.get("CR"))))
-    diag.records_kept = len(kept)
+    diag = CorpusDiagnostics(
+        records_kept=len(kept),
+        duplicates_skipped=duplicates,
+        excluded_missing_fields=excluded_missing,
+        excluded_by_filter=excluded_filter,
+    )
     return Corpus(tuple(kept)), diag
 
 
@@ -342,6 +347,23 @@ class TestBuildCorpus:
         assert len(set(uids)) == 2
         assert all(uid.startswith("SYN:") for uid in uids)
 
+    def test_each_record_lands_in_one_count(self):
+        # Lenient: a UT-less pair, the first kept, then one record each
+        # without PY, without SO and outside the journal filter.
+        crs = ["A B, 2000, X"]
+        blocks = [citing_record(uid, crs=crs) for uid in ["WOS:1", "WOS:1", "WOS:2", "WOS:3"]]
+        blocks.append(citing_record("WOS:4", journal="MIND"))
+        for block in blocks[:2]:
+            del block["UT"]
+        del blocks[2]["PY"]
+        del blocks[3]["SO"]
+        records = _parse(blocks)
+        corpus, diag = build_corpus(records, journal_filter={"Erkenntnis"})
+        assert diag == (1, 1, 2, 1)
+        assert sum(diag) == len(records) == 5
+        assert [r.uid[:4] for r in corpus.records] == ["SYN:"]
+        assert corpus.records[0].cited_refs is records[0].get("CR")
+
     def test_blank_uid_gets_surrogate(self):
         blocks = [citing_record("WOS:1", year=2010), citing_record("WOS:2", year=2011)]
         for block in blocks:
@@ -441,6 +463,7 @@ class TestBuildCorpus:
         reference, reference_diag = _reference_build(records, journal_filter)
         assert corpus == reference
         assert diag == reference_diag
+        assert sum(diag) == len(records)
         lines = [line for record in reference.records for line in record.cited_refs]
         by_year = defaultdict(Counter)
         for line in lines:

@@ -7,6 +7,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 import rpys
 import rpys.corpus
 
@@ -72,6 +74,23 @@ def test_drill_names_are_those_of_corpus():
     assert DRILL <= set(rpys.corpus.__all__)
     for name in DRILL:
         assert getattr(rpys, name) is getattr(rpys.corpus, name), name
+
+
+def test_result_types_are_named_tuples():
+    # Every public class but Corpus and the exceptions is an immutable
+    # named tuple without an instance __dict__.
+    others = {rpys.Corpus, rpys.UnrecognizedFormatError, rpys.ExportParseError, rpys.CorpusError}
+    public = [getattr(rpys, name) for name in rpys.__all__]
+    results = [cls for cls in public if isinstance(cls, type) and cls not in others]
+    assert len(results) == 14
+    for cls in results:
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), cls
+        value = cls(*[None] * len(cls._fields))
+        assert not hasattr(value, "__dict__"), cls
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[0], None)
+    assert rpys.ParseDiagnostics() == (0, 0, ())
+    assert rpys.CorpusDiagnostics() == (0, 0, 0, 0)
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):

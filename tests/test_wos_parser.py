@@ -135,7 +135,7 @@ class TestTaggedParsing:
         text = "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nEF\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n"
         records, diag = parse_export(text)
         assert [r.first("UT") for r in records] == ["WOS:2"]
-        assert diag.malformed_positions == [5]
+        assert diag.malformed_positions == (5,)
 
     def test_blank_lines_between_records_ignored(self):
         text = tagged_export([citing_record("WOS:1"), citing_record("WOS:2")])
@@ -278,7 +278,7 @@ _DEFECT_CASES = {
 def test_each_defect_reported_at_its_line(fmt, text, kept, positions, message):
     records, diag = parse_export(text, fmt)
     assert [r.first("UT") for r in records] == kept
-    assert diag.malformed_positions == positions
+    assert diag.malformed_positions == tuple(positions)
     with pytest.raises(ExportParseError) as err:
         parse_export(text, fmt, strict=True)
     assert str(err.value) == message
@@ -294,7 +294,7 @@ def test_unterminated_last_record_is_reported_at_the_last_line(parse, end):
     text = (end or "\n").join(["FN WoS", "VR 1.0", "PT J", "UT WOS:1", "ER", "PT J"]) + end
     records, diag = parse(text, TAGGED)
     assert [r.first("UT") for r in records] == ["WOS:1"]
-    assert diag.malformed_positions == [6]
+    assert diag.malformed_positions == (6,)
     with pytest.raises(ExportParseError, match="^line 6: record not terminated by ER"):
         parse(text, TAGGED, strict=True)
 
@@ -320,7 +320,7 @@ def test_tag_line_after_ef_starts_the_next_export(text, kept):
     for strict in (False, True):
         records, diag = parse_export(text, strict=strict)
         assert [r.first("UT") for r in records] == kept
-        assert diag.malformed_positions == []
+        assert diag.malformed_positions == ()
 
 
 class TestTabDelimited:
@@ -996,7 +996,7 @@ class TestEncodingAndLoading:
         path.write_bytes(data)
         records, diag, _ = load_export(path)
         assert len(records) == 1
-        assert diag.malformed_positions == [text.count("\n") + 1]
+        assert diag.malformed_positions == (text.count("\n") + 1,)
 
     @settings(max_examples=300)
     @given(
