@@ -17,19 +17,18 @@ unattributed count rather than silently shrinking the denominator.  The
 year's first query builds its full :class:`YearProfile`, every author and
 work row with its share, in :meth:`Corpus.year_works`, so a string is
 keyed once per corpus and a year ranked once.  Every query reads those
-finished rows: a drill slices them, and an author's first breakdown
-builds only its author's rows, with shares within the author, and files
-them in the year's entry for the next.  The results are named tuples,
-as the rows are.
+finished rows and keeps its answer in the year's entry: a drill slices
+them, an author's breakdown filters the ranked work rows for its own,
+with shares within the author, and asking again returns the same object.
+The results are named tuples, as the rows are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import cache, cached_property
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
@@ -123,21 +122,17 @@ class AuthorWorkBreakdown(NamedTuple):
     rows: tuple[WorkShare, ...]
 
 
-_key_author, _count = attrgetter("key.author"), itemgetter(1)
-
-# A year's drill memo entry; see Corpus.year_works.
-_YearMemo = tuple[YearProfile, tuple[WorkShare, ...], dict[str, AuthorWorkBreakdown]]
+_count = itemgetter(1)
 
 
-def _ranked(row_type, counts: Counter, total: int) -> tuple[tuple, tuple]:
-    """``counts`` as ``row_type`` rows with shares of ``total``: by count
-    descending then item, and by item."""
+def _ranked(row_type, counts: Counter, total: int) -> tuple:
+    """``counts`` as ``row_type`` rows with shares of ``total``, by count
+    descending then item."""
     items = sorted(counts)
     shares = {n: round_share(n, total) for n in set(counts.values())}  # few distinct counts
     rows = [row_type(item, n, shares[n]) for item, n in zip(items, map(counts.__getitem__, items))]
-    by_item = tuple(rows)
     rows.sort(key=_count, reverse=True)  # stable, so ties stay by item
-    return tuple(rows), by_item
+    return tuple(rows)
 
 
 class JournalStats(NamedTuple):
@@ -168,7 +163,7 @@ class Corpus:
 
     def __init__(self, records: tuple[Record, ...]):
         self.records = records
-        self._works_by_year: dict[int, _YearMemo] = {}
+        self._works_by_year: dict[int, list] = {}
 
     def __eq__(self, other):
         return self.records == other.records if type(other) is type(self) else NotImplemented
@@ -215,20 +210,21 @@ class Corpus:
         lines = Counter([line for line in self._lines() if digits in line])
         return Counter({line: n for line, n in lines.items() if cited_year(line) == year})
 
-    def year_works(self, year: int) -> _YearMemo:
-        """``year``'s drill memo: its full profile, its work rows by key, and
-        its breakdowns so far, by author.
+    def year_works(self, year: int) -> list:
+        """``year``'s drill memo, the list [full profile, breakdowns by
+        author, top_k, profile sliced to that top_k].
 
-        The profile holds every author and work row with its share of all
-        the year's references, each ranked by count descending then name
+        The full profile holds every author and work row with its share of
+        all the year's references, each ranked by count descending then name
         or key; works of key author ``UNKNOWN`` are counted as unattributed
-        and have no author row.  The same work rows by key put one author's
-        works side by side.  Built on the first request for ``year`` from
-        :meth:`year_lines`, parsing each distinct string to its key once,
-        and kept, so a later query of the year slices finished rows.  A
-        string has one year, so none is parsed twice per corpus.  The
-        breakdowns start empty; :func:`author_breakdown` files each
-        non-empty one there, so they number at most the year's works.
+        and have no author row.  Built on the first request for ``year``
+        from :meth:`year_lines`, parsing each distinct string to its key
+        once, and kept, so a later query of the year reads finished rows.  A
+        string has one year, so none is parsed twice per corpus.
+        :func:`author_breakdown` files each non-empty breakdown, so they
+        number at most the year's works.  The top-k slot starts as ``0,
+        None``; :func:`drill_year` keeps one sliced profile there, replaced
+        when ``top_k`` changes, so the entry stays linear in the year's rows.
         """
         entry = self._works_by_year.get(year)
         if entry is None:
@@ -240,10 +236,10 @@ class Corpus:
                 authors[key.author] = authors.get(key.author, 0) + n
             unattributed = authors.pop(UNKNOWN_AUTHOR, 0)
             total = works.total()
-            author_rows, _ = _ranked(AuthorShare, authors, total)
-            work_rows, works_by_key = _ranked(WorkShare, works, total)
+            author_rows = _ranked(AuthorShare, authors, total)
+            work_rows = _ranked(WorkShare, works, total)
             profile = YearProfile(year, total, author_rows, work_rows, unattributed)
-            entry = self._works_by_year[year] = profile, works_by_key, {}
+            entry = self._works_by_year[year] = [profile, {}, 0, None]
         return entry
 
     @property
@@ -359,35 +355,37 @@ def drill_year(corpus: Corpus, year: int, top_k: int = 10) -> YearProfile:
     those whose key author is ``UNKNOWN`` are ``unattributed``.  Rows are the
     first ``top_k`` of the year's ranking in :meth:`Corpus.year_works` (count
     descending, then name/key), with shares of all references to the year.
-    A year with no references yields an empty profile.
+    A year with no references yields an empty profile.  The year's entry
+    keeps the last profile returned: a drill at the same ``top_k`` returns
+    that object, and one at another ``top_k`` slices once and replaces it.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    full = corpus.year_works(year)[0]
-    return YearProfile(
-        year, full.total_refs, full.author_rows[:top_k], full.work_rows[:top_k], full.unattributed
-    )
+    entry = corpus.year_works(year)
+    if entry[2] != top_k:
+        full = entry[0]
+        rows = full.author_rows[:top_k], full.work_rows[:top_k]
+        entry[2:] = top_k, YearProfile(year, full.total_refs, *rows, full.unattributed)
+    return entry[3]
 
 
 def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakdown:
     """One author's works cited in one year, shares within the author.
 
     The works kept are those whose ``RefKey.author`` is ``author`` (the form
-    key_token yields and drill_year reports): one run of the year's works by
-    key, found by bisection and ranked by count, ties by key as in the
-    year's ranking.  An author absent in that year yields an empty breakdown.
-    A non-empty breakdown is kept in the year's :meth:`Corpus.year_works`
-    entry, so asking again returns the same object and builds no row; an
-    empty one is built again on each call and never kept.
+    key_token yields and drill_year reports), filtered from the year's ranked
+    work rows, so by count descending, ties by key.  An author absent in
+    that year yields an empty breakdown.  A non-empty breakdown is kept in
+    the year's :meth:`Corpus.year_works` entry, so asking again returns the
+    same object and builds no row; an empty one is built again on each call
+    and never kept.
     """
     if author == UNKNOWN_AUTHOR:
         raise ValueError("cannot break down the unattributed bucket by work")
-    _, works, breakdowns = corpus.year_works(year)
+    full, breakdowns, _, _ = corpus.year_works(year)
     breakdown = breakdowns.get(author)
     if breakdown is None:
-        start = bisect_left(works, author, key=_key_author)
-        run = works[start : bisect_right(works, author, start, key=_key_author)]
-        rows = sorted(run, key=_count, reverse=True)  # stable, so ties stay by key
+        rows = [row for row in full.work_rows if row.key.author == author]
         total = sum(map(_count, rows))
         shares = tuple(WorkShare(key, n, round_share(n, total)) for key, n, _ in rows)
         breakdown = AuthorWorkBreakdown(author, year, total, shares)
@@ -397,5 +395,7 @@ def author_breakdown(corpus: Corpus, author: str, year: int) -> AuthorWorkBreakd
 
 
 def profile_all_peaks(corpus: Corpus, peaks: list[Peak], top_k: int = 10) -> list[YearProfile]:
-    """One YearProfile per peak, in ascending year order (not peak rank)."""
+    """Each peak's :func:`drill_year` profile, in ascending year order (not peak rank)."""
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
     return [drill_year(corpus, year, top_k) for year in sorted(p.year for p in peaks)]

@@ -183,8 +183,10 @@ def detect_peaks(
     plateau resolves to its leftmost year.  A formal peak definition is
     a deliberate choice here: eyeballing a plotted curve does not
     reproduce.  Result is sorted by deviation descending then year
-    ascending and truncated to ``top_k`` when given.
+    ascending and truncated to ``top_k`` when given; ``None`` keeps all.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
     threshold = _as_fraction(min_deviation)
     dev = series.deviation
     start = series.year_range[0]

@@ -193,7 +193,7 @@ class TestAuthorBreakdown:
         # by the year's works however many absent names are asked.
         corpus = corpus_of_lines(["X A, 1950, SRC"])
         present = author_breakdown(corpus, "X A", 1950)
-        kept = corpus.year_works(1950)[2]
+        kept = corpus.year_works(1950)[1]
         assert kept == {"X A": present}
         for name in ("Y B", "X", "X A "):
             assert author_breakdown(corpus, name, 1950) == AuthorWorkBreakdown(name, 1950, 0, ())
@@ -221,6 +221,13 @@ class TestAuthorBreakdown:
 class TestProfileAllPeaks:
     def test_empty_peaks_empty_result(self):
         assert profile_all_peaks(corpus_of_lines(["X A, 1950, SRC"]), []) == []
+
+    @pytest.mark.parametrize("peaks", [[], [Peak(1950, Fraction(1), 1, 1)]])
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_must_be_positive(self, peaks, top_k):
+        # As drill_year: no peaks is no excuse for a top_k that selects nothing.
+        with pytest.raises(ValueError, match="top_k must be at least 1"):
+            profile_all_peaks(corpus_of_lines(["X A, 1950, SRC"]), peaks, top_k)
 
     def test_profiles_ordered_by_year_not_rank(self):
         lines = ["A A, 1905, S"] * 5 + ["B B, 1962, S"] * 9
@@ -587,6 +594,39 @@ def test_drilled_year_is_not_tallied_or_ranked_again(monkeypatch, drill_corpus):
     )
 
 
+@pytest.mark.parametrize("index_first", [False, True])
+def test_repeat_drill_returns_its_kept_profile(monkeypatch, drill_corpus, index_first):
+    # A year's entry keeps its last top-k profile: a repeat drill or peak
+    # profile at that top_k returns the same object and builds no
+    # YearProfile, before or after the year index is built; another top_k
+    # slices once and takes the one slot.
+    built = []
+    new = YearProfile.__new__
+
+    def counted_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    if index_first:
+        drill_corpus.by_year  # builds the year index
+    oracle = Corpus(drill_corpus.records)
+    peaks = [Peak(1905, Fraction(1), 100, 1)]
+    for index_built in (index_first, True):
+        assert ("by_year" in vars(drill_corpus)) == index_built
+        for top_k in (3, 10, 3):
+            first = drill_year(drill_corpus, 1905, top_k)
+            assert first == _per_line_drill_year(oracle, 1905, top_k)
+            assert drill_corpus.year_works(1905)[2:] == [top_k, first]
+            monkeypatch.setattr(YearProfile, "__new__", counted_new)
+            assert drill_year(drill_corpus, 1905, top_k) is first
+            (kept,) = profile_all_peaks(drill_corpus, peaks, top_k)
+            assert kept is first
+            assert profile_all_peaks(drill_corpus, peaks, top_k)[0] is kept
+            assert not built
+            monkeypatch.undo()
+        drill_corpus.by_year  # builds the year index, if not yet built
+
+
 _rank_counts = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(1, 3)),
     st.dictionaries(
@@ -608,13 +648,10 @@ _rank_counts = st.one_of(
 def test_ranked_matches_a_keyed_sort(counts):
     # Counts of 1..3 tie often, so most rows are ordered by their item.
     total = counts.total()
-    ranked, by_item = rpys.corpus._ranked(WorkShare, counts, total)
-    assert ranked == tuple(
+    assert rpys.corpus._ranked(WorkShare, counts, total) == tuple(
         WorkShare(item, n, round_share(n, total))
         for item, n in sorted(counts.items(), key=lambda p: (-p[1], p[0]))
     )
-    assert by_item == tuple(sorted(ranked, key=lambda row: row.key))
-    assert sorted(map(id, by_item)) == sorted(map(id, ranked))
 
 
 _TOP_KS = [1, 2, 3, 10, 1000]
@@ -626,6 +663,8 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
     # One corpus answers a random run of queries, its per-year memo
     # filling as they go, with the year index built at a random point or
     # never; each answer equals the per-line oracle on a fresh corpus.
+    # Afterwards each year's entry holds one sliced profile, the last
+    # top_k's, however many top_k values were asked.
     fresh = Corpus(corpus.records)
     years = sorted({ref.year for ref in fresh.iter_refs()} - {None}) + [1777]
     authors = sorted({ref.author for ref in fresh.iter_refs()} - {UNKNOWN_AUTHOR}) + ["ABSENT Z"]
@@ -642,6 +681,7 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
         )
     )
     index_at = data.draw(st.integers(0, len(queries)))
+    last_top_k = {}
     for i, (kind, year, author, top_k, peak_years) in enumerate(queries):
         if i == index_at:
             assert "by_year" not in vars(corpus)
@@ -649,6 +689,7 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
         oracle = Corpus(corpus.records)
         if kind == "drill":
             assert drill_year(corpus, year, top_k) == _per_line_drill_year(oracle, year, top_k)
+            last_top_k[year] = top_k
         elif kind == "breakdown":
             assert author_breakdown(corpus, author, year) == _per_line_author_breakdown(
                 oracle, author, year
@@ -658,6 +699,13 @@ def test_shared_corpus_answers_match_a_fresh_corpus(corpus, data):
             assert profile_all_peaks(corpus, peaks, top_k) == [
                 _per_line_drill_year(oracle, y, top_k) for y in sorted(peak_years)
             ]
+            last_top_k.update(dict.fromkeys(peak_years, top_k))
+    oracle = Corpus(corpus.records)
+    for year in years:
+        full, _, top_k, sliced = corpus.year_works(year)
+        assert full == _per_line_drill_year(oracle, year, 10**6)
+        assert top_k == last_top_k.get(year, 0)
+        assert sliced == (_per_line_drill_year(oracle, year, top_k) if top_k else None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -230,6 +230,12 @@ class TestDetectPeaks:
         peaks = detect_peaks(series_of_deviations([0, 3, 0, 5, 0]), top_k=1)
         assert [(p.rank, p.year) for p in peaks] == [(1, 2003)]
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_must_be_positive(self, top_k):
+        # -1 would drop the last-ranked peak and 0 every peak, silently.
+        with pytest.raises(ValueError, match="top_k must be at least 1"):
+            detect_peaks(series_of_deviations([0, 3, 0, 5, 0, 4, 0]), top_k=top_k)
+
     def test_deviation_ties_rank_earlier_year_first(self):
         peaks = detect_peaks(series_of_deviations([0, 4, 0, 4, 0]))
         assert [(p.rank, p.year) for p in peaks] == [(1, 2001), (2, 2003)]
