@@ -267,9 +267,9 @@ def _write(args: argparse.Namespace, name: str, artifact) -> Path:
     return path
 
 
-def _dec1(value) -> str:
-    # Medians/deviations are half-integral rationals; one decimal is exact.
-    return f"{float(value):.1f}"
+def _dec1(value: float) -> str:
+    # Medians/deviations are multiples of 1/2; one decimal prints them exactly.
+    return f"{value:.1f}"
 
 
 def render_rpys_csv(spectrum: Spectrum) -> str:
@@ -343,8 +343,8 @@ def cmd_peaks(args: argparse.Namespace, corpus: Corpus) -> int:
         {
             "year": p.year,
             "n_cr": p.n_cr,
-            "median5": float(series.row(p.year)[1]),
-            "deviation": float(p.deviation),
+            "median5": series.row(p.year)[1],
+            "deviation": p.deviation,
             "rank": p.rank,
         }
         for p in peaks

@@ -5,15 +5,15 @@ year.  The deviation series d(y) = N(y) - median{N(y-2)..N(y+2)} smooths
 secular growth out of the curve; positive spikes of d(y) mark the years
 whose heavily cited works form a field's historical roots.
 
-Medians and deviations are exact rationals (an even-width window's
-median is the mean of the two middle values, so half-integral values
-occur).  Floats would drift under equality testing; Fractions do not.
+Medians and deviations are floats.  A median is a count or the mean of
+two counts, so every median and deviation is a multiple of 1/2, which a
+float holds exactly while counts stay at or below 2**52: the series
+compares equal to exact rationals, and one decimal prints it exactly.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .corpus import Corpus
@@ -60,8 +60,8 @@ class DeviationSeries(NamedTuple):
 
     year_range: tuple[int, int]
     n_cr: tuple[int, ...]
-    median5: tuple[Fraction, ...]
-    deviation: tuple[Fraction, ...]
+    median5: tuple[float, ...]
+    deviation: tuple[float, ...]
 
     def years(self) -> range:
         return range(self.year_range[0], self.year_range[1] + 1)
@@ -70,7 +70,7 @@ class DeviationSeries(NamedTuple):
         for i, year in enumerate(self.years()):
             yield year, self.n_cr[i], self.median5[i], self.deviation[i]
 
-    def row(self, year: int) -> tuple[int, Fraction, Fraction]:
+    def row(self, year: int) -> tuple[int, float, float]:
         i = year - self.year_range[0]
         if not 0 <= i < len(self.n_cr):
             raise KeyError(year)
@@ -81,7 +81,7 @@ class Peak(NamedTuple):
     """A positive local maximum of the deviation series, a plain tuple too."""
 
     year: int
-    deviation: Fraction
+    deviation: float
     n_cr: int
     rank: int
 
@@ -129,15 +129,15 @@ def compute_spectrum(
     return Spectrum((first, last), counts, dropped, without_year)
 
 
-def _window_median(counts: tuple[int, ...], center: int) -> Fraction:
+def _window_median(counts: tuple[int, ...], center: int) -> float:
     # Window clipped at the edges, never zero-padded: padding would
     # fabricate artificial peaks at the ends of the range.
     window = sorted(counts[max(0, center - 2) : center + 3])
     n = len(window)
     mid = n // 2
     if n % 2:
-        return Fraction(window[mid])
-    return Fraction(window[mid - 1] + window[mid], 2)
+        return float(window[mid])
+    return (window[mid - 1] + window[mid]) / 2
 
 
 def median_deviation(spectrum: Spectrum) -> DeviationSeries:
@@ -145,29 +145,20 @@ def median_deviation(spectrum: Spectrum) -> DeviationSeries:
 
     Each year's median is taken over {y-2 .. y+2} intersected with the
     year range (3 values at the extreme ends, 4 next to them), and the
-    deviation is count minus median, exactly.
+    deviation is count minus median.  Both are floats, exact while every
+    count is at most 2**52.
     """
     if spectrum.year_range is None:
         raise ValueError("cannot smooth an empty spectrum")
     counts = spectrum.counts
     medians = tuple(_window_median(counts, i) for i in range(len(counts)))
-    deviations = tuple(Fraction(c) - m for c, m in zip(counts, medians))
+    deviations = tuple(c - m for c, m in zip(counts, medians))
     return DeviationSeries(
         year_range=spectrum.year_range,
         n_cr=counts,
         median5=medians,
         deviation=deviations,
     )
-
-
-def _as_fraction(value) -> Fraction:
-    # Floats arrive from the command line as decimal strings; convert
-    # through str so 0.1 means 1/10, not its binary approximation.
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"min_deviation must be finite, got {value!r}")
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 def detect_peaks(
@@ -182,17 +173,20 @@ def detect_peaks(
     neighbor (missing neighbors count as minus infinity), so an exact
     plateau resolves to its leftmost year.  A formal peak definition is
     a deliberate choice here: eyeballing a plotted curve does not
-    reproduce.  Result is sorted by deviation descending then year
-    ascending and truncated to ``top_k`` when given; ``None`` keeps all.
+    reproduce.  ``min_deviation`` is compared as given, unconverted, so
+    an int, float or rational threshold is compared exactly.  Result is
+    sorted by deviation descending then year ascending and truncated to
+    ``top_k`` when given; ``None`` keeps all.
     """
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
-    threshold = _as_fraction(min_deviation)
+    if not -math.inf < min_deviation < math.inf:
+        raise ValueError(f"min_deviation must be finite, got {min_deviation!r}")
     dev = series.deviation
     start = series.year_range[0]
-    hits: list[tuple[Fraction, int]] = []
+    hits: list[tuple[float, int]] = []
     for i, d in enumerate(dev):
-        if d <= threshold:
+        if d <= min_deviation:
             continue
         if i > 0 and not d > dev[i - 1]:
             continue

@@ -92,7 +92,7 @@ def render_spectrogram(
         return "\n".join(parts) + "\n"
 
     first, last = series.year_range
-    devs = [float(d) for d in series.deviation]
+    devs = series.deviation
     counts = [float(n) for n in series.n_cr]
     v_lo = min(0.0, min(devs))
     v_hi = max(max(counts), 1.0)
@@ -140,7 +140,7 @@ def render_spectrogram(
 
     for peak in sorted(peaks, key=lambda p: p.year):
         px = sx(peak.year)
-        py = max(y0 + 10, sy(float(peak.deviation)) - 8)
+        py = max(y0 + 10, sy(peak.deviation) - 8)
         parts.append(
             f'<text class="peak-label" x="{_fmt(px)}" y="{_fmt(py)}">{peak.year}</text>'
         )

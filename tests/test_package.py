@@ -103,6 +103,6 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == [
-        "1905 3 AuthorShare(name='EINSTEIN A', count=2, share=50.0)",
-        "1927 1 AuthorShare(name='WINTERS R', count=1, share=100.0)",
+        "1905 3.0 AuthorShare(name='EINSTEIN A', count=2, share=50.0)",
+        "1927 1.0 AuthorShare(name='WINTERS R', count=1, share=100.0)",
     ]

@@ -169,6 +169,20 @@ class TestMedianDeviation:
         assert list(series.median5) == expected
         assert list(series.deviation) == [Fraction(c) - m for c, m in zip(counts, expected)]
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (2**52 - 3, 2**52, 1, 2**52 - 1, 2, 7, 2**51 + 1),
+            (2**52, 2**52 - 1, 0, 0, 2**52 - 1),  # two medians are 2**51 - 1/2
+        ],
+    )
+    def test_exact_for_counts_up_to_2_to_the_52(self, counts):
+        series = median_deviation(spectrum_of_counts(counts))
+        expected = oracle_medians(counts)
+        for i, (count, median) in enumerate(zip(counts, expected)):
+            assert series.median5[i] == median
+            assert series.deviation[i] == Fraction(count) - median
+
     @settings(max_examples=100)
     @given(
         st.lists(st.integers(0, 1000), min_size=1, max_size=40),
@@ -244,6 +258,13 @@ class TestDetectPeaks:
         peaks = detect_peaks(series_of_deviations([0, 1, 0]), min_deviation=0.5)
         assert [p.year for p in peaks] == [2001]
         assert detect_peaks(series_of_deviations([0, 1, 0]), min_deviation=1.0) == []
+
+    def test_rational_threshold_is_compared_unrounded(self):
+        # float(6 - 10**-30) is 6.0, which would drop the deviation-6 peak.
+        series = median_deviation(spectrum_of_counts([0, 6, 0]))
+        below = detect_peaks(series, min_deviation=Fraction(6) - Fraction(1, 10**30))
+        assert [(p.year, p.deviation) for p in below] == [(1901, 6)]
+        assert detect_peaks(series, min_deviation=Fraction(6)) == []
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_rejected(self, value):

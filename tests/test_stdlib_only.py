@@ -56,7 +56,8 @@ print(json.dumps([sorted(added), slug, corpus.records[0].uid]))
 """
 
 
-def test_cli_import_leaves_out_dataclasses_inspect_and_hashlib():
+def test_cli_import_leaves_out_dataclasses_hashlib_and_fractions():
+    # dataclasses brings inspect, and fractions brings decimal and numbers.
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GRAPH, str(PACKAGE.parent)],
         capture_output=True,
@@ -65,7 +66,8 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_hashlib():
     )
     added, slug, uid = json.loads(done.stdout)
     assert "rpys.cli" in added
-    assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(added)
+    unneeded = {"dataclasses", "inspect", "hashlib", "fractions", "decimal", "numbers"}
+    assert unneeded.isdisjoint(added), sorted(unneeded & set(added))
     head, digest = slug.split("~")
     assert head == "a" * len(head) and len(digest) == 16
     assert uid.startswith("SYN:") and len(uid) == 4 + 16
