@@ -18,6 +18,7 @@ MARGIN_LEFT = 64
 MARGIN_RIGHT = 24
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 46
+MAX_TICKS = 8  # on either axis
 
 _STYLE = (
     "text { font-family: sans-serif; font-size: 12px; fill: #222222; }\n"
@@ -35,12 +36,12 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _tick_step(span: float, target: int = 8) -> float:
-    """Smallest 1/2/5-series step giving at most ``target`` ticks."""
+def _tick_step(span: float) -> float:
+    """Smallest 1/2/5-series step giving at most ``MAX_TICKS`` ticks."""
     step = 1.0
     factors = (2.0, 2.5, 2.0)  # walks 1 -> 2 -> 5 -> 10 -> ...
     i = 0
-    while span / step > target:
+    while span / step > MAX_TICKS:
         step *= factors[i % 3]
         i += 1
     return step

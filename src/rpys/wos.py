@@ -30,7 +30,7 @@ collection, so after one a loaded record is one object the collector
 tracks, the ``RawRecord`` named tuple itself.
 
 The layout is a property of each file, read from its first line by
-:func:`detect_format`; :func:`load_export` always detects it.
+:func:`detect_format`; :func:`parse_export` always detects it.
 
 A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
@@ -216,20 +216,18 @@ def detect_format(text: str) -> str:
 
 
 def parse_export(
-    text: str, fmt: str = TAGGED, strict: bool = False
+    text: str, *, strict: bool = False
 ) -> tuple[list[RawRecord], ParseDiagnostics]:
     """Parse one export file into records, in file order.
 
-    In lenient mode (the default), malformed record blocks are skipped
-    and their line numbers collected in the diagnostics; strict mode
-    raises :class:`ExportParseError` at the first defect.
+    The layout is :func:`detect_format`'s, so text it does not recognize
+    raises :class:`UnrecognizedFormatError` in either mode.  In lenient
+    mode (the default), malformed record blocks are skipped and their
+    line numbers collected in the diagnostics; strict mode raises
+    :class:`ExportParseError` at the first defect.
     """
-    if fmt == TAGGED:
-        parse = _parse_tagged
-    elif fmt == TAB_DELIMITED:
-        parse = _parse_tab_delimited
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+    text = _normalized(text)
+    parse = _parse_tab_delimited if detect_format(text) == TAB_DELIMITED else _parse_tagged
     positions: list[int] = []
 
     def defect(lineno: int, message: str) -> None:
@@ -237,7 +235,7 @@ def parse_export(
             raise ExportParseError(f"line {lineno}: {message}", lineno)
         positions.append(lineno)
 
-    records = parse(_normalized(text), defect)
+    records = parse(text, defect)
     cr_lines = sum(len(r.get("CR")) for r in records)
     return records, ParseDiagnostics(len(records), cr_lines, tuple(positions))
 
@@ -325,15 +323,12 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
 
 def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
     records: list[RawRecord] = []
-    lines = text.split("\n")
-    header = [c.strip() for c in lines[0].split("\t")]
-    columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
-
-    for lineno, line in enumerate(lines[1:], start=2):
+    header, columns = [], []  # set by line 1, a header as detect_format found
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        # A cat-joined export's header; the substring test keeps a data row
-        # from splitting and stripping every cell.
+        # Line 1 or a cat-joined export's header; the substring test keeps
+        # a data row from splitting and stripping every cell.
         if "PY" in line and "CR" in line and (cells := _header_cells(line)):
             header = cells
             columns = [(i, tag) for i, tag in enumerate(header) if tag in _TAGS]
@@ -446,6 +441,5 @@ def load_export(
 ) -> tuple[list[RawRecord], ParseDiagnostics, str]:
     """Read, decode and parse one export file; returns its detected format."""
     text = decode_export_bytes(Path(path).read_bytes())
-    fmt = detect_format(text)
-    records, diag = parse_export(text, fmt, strict=strict)
-    return records, diag, fmt
+    records, diag = parse_export(text, strict=strict)
+    return records, diag, detect_format(text)

@@ -19,7 +19,6 @@ from rpys import (
     RawRecord,
     Record,
     RefKey,
-    TAB_DELIMITED,
     UNKNOWN_AUTHOR,
     author_breakdown,
     build_corpus,
@@ -374,7 +373,7 @@ class TestBuildCorpus:
 
     def test_padded_uid_dedups_across_layouts(self):
         tagged = _parse([citing_record("WOS:9  ")])
-        tsv, _ = parse_export("PT\tSO\tPY\tUT\nJ\tERKENNTNIS\t2010\tWOS:9\n", TAB_DELIMITED)
+        tsv, _ = parse_export("PT\tSO\tPY\tCR\tUT\nJ\tERKENNTNIS\t2010\t\tWOS:9\n")
         corpus, diag = build_corpus(tagged + tsv)
         assert diag.duplicates_skipped == 1
         assert [r.uid for r in corpus.records] == ["WOS:9"]
@@ -386,8 +385,7 @@ class TestBuildCorpus:
         block["AU"], block["PY"] = ["Smith, J  "], ["2010 "]
         tagged = _parse([block])
         tsv, _ = parse_export(
-            "PT\tAU\tTI\tSO\tPY\nJ\tSmith, J\tCiting paper WOS:9\tERKENNTNIS\t2010\n",
-            TAB_DELIMITED,
+            "PT\tAU\tTI\tSO\tPY\tCR\nJ\tSmith, J\tCiting paper WOS:9\tERKENNTNIS\t2010\t\n"
         )
         corpus, diag = build_corpus(tagged + tsv)
         assert diag.duplicates_skipped == 1

@@ -36,6 +36,13 @@ import reference_reader
 import refkey_oracle
 from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
 
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _reference_parse(text: str, *, strict: bool = False):
+    """The reference reader, in the layout the reference detector reads."""
+    return reference_reader.parse_export(text, reference_reader.detect_format(text), strict)
+
 
 class TestDetectFormat:
     def test_fn_header_is_tagged(self):
@@ -71,9 +78,27 @@ class TestDetectFormat:
         assert "X" * 40 in str(err.value)
         assert "X" * 41 not in str(err.value)
 
-    def test_unknown_layout_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown export format 'auto'"):
-            parse_export("FN WoS\nVR 1.0\n", "auto")
+
+
+class TestParseExportDetects:
+    def test_table_reads_as_load_export_reads_it(self):
+        path = _FIXTURES / "pinned_table.txt"
+        records, diag, fmt = load_export(path)
+        assert fmt == TAB_DELIMITED and records
+        assert parse_export(decode_export_bytes(path.read_bytes())) == (records, diag)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize(
+        "text", ["   PT J\nUT X", "<html><body>Export failed</body></html>\n", ""]
+    )
+    def test_undetected_text_is_rejected(self, text, strict):
+        with pytest.raises(UnrecognizedFormatError):
+            parse_export(text, strict=strict)
+
+    def test_takes_no_layout(self):
+        # A layout passed by position must not land in strict.
+        with pytest.raises(TypeError):
+            parse_export("PT\tPY\tCR\tUT\nJ\t2010\t\tWOS:1\n", "tab_delimited")
 
 
 class TestTaggedParsing:
@@ -188,22 +213,20 @@ class TestTaggedParsing:
             assert diag.cr_lines_parsed == 0
             assert diag.malformed_records == 0
             assert _outcome(parse_export, text, strict=strict) == _outcome(
-                reference_reader.parse_export, text, TAGGED, strict=strict
+                _reference_parse, text, strict=strict
             )
 
 
-# One case per structural defect: layout, text, UTs of the records kept
-# in lenient mode, lenient malformed_positions, strict message.
+# One case per structural defect: text, UTs of the records kept in
+# lenient mode, lenient malformed_positions, strict message.
 _DEFECT_CASES = {
     "orphan_er": (
-        TAGGED,
         "FN WoS\nVR 1.0\nER\nPT J\nUT WOS:1\nER\nEF\n",
         ["WOS:1"],
         [3],
         "line 3: record terminator without an open record",
     ),
     "junk_between_records_resyncs_at_er": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nUT WOS:2\nER\n"
         "PT J\nUT WOS:3\nER\nEF\n",
         ["WOS:1", "WOS:3"],
@@ -211,14 +234,12 @@ _DEFECT_CASES = {
         "line 6: expected a tag line",
     ),
     "junk_between_records_resyncs_at_ef": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\n?? junk\nPT J\nEF\nPT J\n",
         ["WOS:1"],
         [6, 9],
         "line 6: expected a tag line",
     ),
     "junk_inside_record": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\n\tbad\nCR A B, 1905, X\nER\n"
         "PT J\nUT WOS:2\nER\nEF\n",
         ["WOS:2"],
@@ -226,42 +247,36 @@ _DEFECT_CASES = {
         "line 5: malformed line inside record",
     ),
     "ef_inside_record": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nPT J\nUT WOS:2\nEF\n",
         ["WOS:1"],
         [8],
         "line 8: record not terminated by ER before EF",
     ),
     "non_tag_line_after_ef": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \n?? junk\nPT J\nUT WOS:2\nER\n",
         ["WOS:1"],
         [8],
         "line 8: content after EF terminator",
     ),
     "orphan_er_after_ef": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n\ufeffER\nPT J\nUT WOS:2\nER\n",
         ["WOS:1", "WOS:2"],
         [7],
         "line 7: record terminator without an open record",
     ),
     "continuation_after_ef": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n   x\nFN WoS\nPT J\nUT WOS:2\nER\nEF\n",
         ["WOS:1"],
         [7],
         "line 7: content after EF terminator",
     ),
     "end_of_input_inside_record": (
-        TAGGED,
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nPT J\nUT WOS:2\n",
         ["WOS:1"],
         [7],
         "line 7: record not terminated by ER at end of input",
     ),
     "tsv_column_count": (
-        TAB_DELIMITED,
         "PT\tPY\tCR\tUT\nJ\t2010\t\tWOS:1\nJ\t2011\nJ\t2012\t\tWOS:3\n",
         ["WOS:1", "WOS:3"],
         [3],
@@ -271,36 +286,34 @@ _DEFECT_CASES = {
 
 
 @pytest.mark.parametrize(
-    "fmt, text, kept, positions, message",
+    "text, kept, positions, message",
     list(_DEFECT_CASES.values()),
     ids=list(_DEFECT_CASES),
 )
-def test_each_defect_reported_at_its_line(fmt, text, kept, positions, message):
-    records, diag = parse_export(text, fmt)
+def test_each_defect_reported_at_its_line(text, kept, positions, message):
+    records, diag = parse_export(text)
     assert [r.first("UT") for r in records] == kept
     assert diag.malformed_positions == tuple(positions)
     with pytest.raises(ExportParseError) as err:
-        parse_export(text, fmt, strict=True)
+        parse_export(text, strict=True)
     assert str(err.value) == message
     assert err.value.line == positions[0]
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "none"])
-@pytest.mark.parametrize(
-    "parse", [parse_export, reference_reader.parse_export], ids=["wos", "reference"]
-)
+@pytest.mark.parametrize("parse", [parse_export, _reference_parse], ids=["wos", "reference"])
 def test_unterminated_last_record_is_reported_at_the_last_line(parse, end):
     # A 6-line file names its line 6, whether or not that line ends in a newline.
     text = (end or "\n").join(["FN WoS", "VR 1.0", "PT J", "UT WOS:1", "ER", "PT J"]) + end
-    records, diag = parse(text, TAGGED)
+    records, diag = parse(text)
     assert [r.first("UT") for r in records] == ["WOS:1"]
     assert diag.malformed_positions == (6,)
     with pytest.raises(ExportParseError, match="^line 6: record not terminated by ER"):
-        parse(text, TAGGED, strict=True)
+        parse(text, strict=True)
 
 
 # After EF and blank lines, a tag line starts the next export, whatever
-# its tag: layout, text, UTs of the records read (in either mode).
+# its tag: text, UTs of the records read (in either mode).
 _NEXT_EXPORT_CASES = {
     "content_after_ef": (
         "FN WoS\nVR 1.0\nPT J\nUT WOS:1\nER\nEF\n \nPT J\nER\n",
@@ -334,7 +347,7 @@ class TestTabDelimited:
             "WOS:1\n"
             "J\tRoe, R\tWork two\tERKENNTNIS\t2011\t\tWOS:2\n"
         )
-        records, diag = parse_export(text, TAB_DELIMITED)
+        records, diag = parse_export(text)
         assert diag.records_parsed == 2
         assert records[0].get("CR") == (
             "EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891",
@@ -345,16 +358,16 @@ class TestTabDelimited:
 
     def test_wrong_column_count_is_malformed(self):
         text = f"{self.HEADER}\nJ\tonly\tthree\n"
-        records, diag = parse_export(text, TAB_DELIMITED)
+        records, diag = parse_export(text)
         assert records == []
         assert diag.malformed_records == 1
         with pytest.raises(ExportParseError) as err:
-            parse_export(text, TAB_DELIMITED, strict=True)
+            parse_export(text, strict=True)
         assert "line 2" in str(err.value)
 
     def test_empty_cells_omitted(self):
         text = f"{self.HEADER}\nJ\t\tTitle\tERKENNTNIS\t2010\t\tWOS:1\n"
-        records, _ = parse_export(text, TAB_DELIMITED)
+        records, _ = parse_export(text)
         assert records[0].first("AU") is None
         assert records[0].first("TI") == "Title"
 
@@ -363,14 +376,14 @@ class TestTabDelimited:
         first = f"{self.HEADER}\nJ\tDoe, J\tOne\tX\t2010\tA B, 1950, X\tWOS:1\n"
         second = f"{self.HEADER}\nJ\tRoe, R\tTwo\tY\t2011\tC D, 1951, Y\tWOS:2\n"
         for text in (first + second, first + "\n" + second, first + "\ufeff" + second):
-            records, diag = parse_export(text, TAB_DELIMITED, strict=True)
+            records, diag = parse_export(text, strict=True)
             assert [r.first("UT") for r in records] == ["WOS:1", "WOS:2"]
             assert (diag.malformed_records, diag.cr_lines_parsed) == (0, 2)
 
     def test_later_header_rereads_the_columns(self):
         first = f"{self.HEADER}\nJ\tDoe, J\tOne\tX\t2010\tA B, 1950, X\tWOS:1\n"
         second = "UT\t CR \tPY\tSO\nWOS:2\tC D, 1951, Y; E F, 1952, Z\t2011\tY\n"
-        records, diag = parse_export(first + second, TAB_DELIMITED, strict=True)
+        records, diag = parse_export(first + second, strict=True)
         assert records[1] == RawRecord(
             {"UT": ("WOS:2",), "CR": ("C D, 1951, Y", "E F, 1952, Z"), "PY": ("2011",), "SO": ("Y",)}
         )
@@ -379,7 +392,7 @@ class TestTabDelimited:
     def test_row_naming_py_and_cr_in_a_cell_is_a_row(self):
         # Only a line whose stripped cells are the PY and CR tags is a header.
         row = "J\tDoe, J\tCOPY OF PY\tCR HEBD\t2010\tA B, 1950, CR\tWOS:1\n"
-        records, diag = parse_export(f"{self.HEADER}\n{row}", TAB_DELIMITED, strict=True)
+        records, diag = parse_export(f"{self.HEADER}\n{row}", strict=True)
         assert [r.first("TI") for r in records] == ["COPY OF PY"]
 
 
@@ -421,9 +434,6 @@ class TestRoundTrip:
         reparsed, diag = parse_export(text)
         assert reparsed == records
         assert diag.malformed_records == 0
-
-
-_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _tracked_per_record(records: list[RawRecord]) -> float:
@@ -1048,15 +1058,15 @@ _ENCODINGS = {
 
 def _outcome(fn, *args, **kwargs):
     """A call's result, its records' values as tuples, or its exception's
-    type, message and line.
+    type, message and line (None for an undetected layout).
 
     The reference readers store lists; the pin tests guard that
     ``rpys.wos`` stores tuples.
     """
     try:
         records, *rest = fn(*args, **kwargs)
-    except ExportParseError as exc:
-        return type(exc), str(exc), exc.line
+    except (ExportParseError, UnrecognizedFormatError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
     tupled = [RawRecord({tag: tuple(v) for tag, v in r.tags.items()}) for r in records]
     return tupled, *rest
 
@@ -1065,10 +1075,10 @@ class TestLineEndsAndEncodings:
     @settings(max_examples=200)
     @given(_export_st, st.booleans())
     def test_crlf_and_bom_parse_like_lf(self, export, strict):
-        fmt, text = export
-        expected = _outcome(parse_export, text, fmt, strict=strict)
+        _, text = export
+        expected = _outcome(parse_export, text, strict=strict)
         for variant in (text.replace("\n", "\r\n"), "\ufeff" + text):
-            assert _outcome(parse_export, variant, fmt, strict=strict) == expected
+            assert _outcome(parse_export, variant, strict=strict) == expected
 
     @settings(max_examples=100)
     @given(
@@ -1085,7 +1095,7 @@ class TestLineEndsAndEncodings:
         path = tmp_path_factory.mktemp("enc") / "export.txt"
         path.write_bytes(_ENCODINGS[encoding](text))
         assert _outcome(load_export, path, strict=strict) == _outcome(
-            lambda: (*parse_export(text, fmt, strict=strict), fmt)
+            lambda: (*parse_export(text, strict=strict), fmt)
         )
 
 
@@ -1130,48 +1140,48 @@ _tsv_soup_line_st = st.one_of(
         + ["PY\tCR", "PYCR\tUT", "COPY\tCRAB", "PY CR", "PY\tUT", "\ufeff\ufeffPY\tCR"]
     ),
 )
+# First lines: nearly all pass detect_format's rules, so nearly every
+# soup reaches a reader; the last of each pool (blank) passes neither.
 _soup_export_st = st.one_of(
-    st.tuples(st.just(TAGGED), _soup_text_st(_soup_line_st, ["FN WoS\nVR 1.0", ""])),
-    st.tuples(
-        st.just(TAB_DELIMITED),
-        _soup_text_st(
-            _tsv_soup_line_st,
-            ["PT\tPY\tCR\tUT", "", "PT\t PY \tCR\tU", "pt\tPY\tCR\tUT1", "\u00c9T\tPY\tCR\tUT"],
-        ),
+    _soup_text_st(
+        _soup_line_st,
+        ["FN WoS\nVR 1.0", "FN WoS\nVR 1.0", "FN WoS", "VR 1.0", "PT J", "UT WOS:1"]
+        + ["CR A B, 1905, X", "ER", "EF", ""],
+    ),
+    _soup_text_st(
+        _tsv_soup_line_st,
+        ["PT\tPY\tCR\tUT", "PT\tPY\tCR\tUT", "PT\t PY \tCR\tU", "pt\tPY\tCR\tUT1"]
+        + ["\u00c9T\tPY\tCR\tUT", "PT\tAU\tPY\tCR\tUT", "UT\tCR\tPY", " CR \t PY ", "PY\tCR", ""],
     ),
 )
 
 
 class TestReaderDifferential:
-    """The readers match the per-line reference readers on any text."""
+    """The readers match the per-line reference readers on any text, and
+    reject the same texts as of no layout."""
 
     @settings(max_examples=600)
     @given(_soup_export_st, st.booleans())
-    @example((TAGGED, "FN WoS\n   x\nPT J\nER"), False)  # a continuation with no record open
+    @example("FN WoS\n   x\nPT J\nER", False)  # a continuation with no record open
     # after EF, a tag line behind a BOM starts the next export, even an ER
-    @example((TAGGED, "PT J\nER\nEF\n\n\ufeffPT J\nUT X\nER\nEF\nER\n"), False)
-    @example((TAGGED, "   PT J\nUT X"), True)  # an indented first line is no continuation
+    @example("PT J\nER\nEF\n\n\ufeffPT J\nUT X\nER\nEF\nER\n", False)
+    @example("   PT J\nUT X", True)  # an indented first line is of no layout
+    @example("", False)
     # a header row of a cat-joined export, behind a BOM and before a CR, is no record
-    @example((TAB_DELIMITED, "PT\tPY\tCR\tUT\n\ufeffPT\tPY\tCR\tUT\r\nJ\t1\tA\tB\n"), True)
+    @example("PT\tPY\tCR\tUT\n\ufeffPT\tPY\tCR\tUT\r\nJ\t1\tA\tB\n", True)
     # a second header of another width and column order holds the columns after it
-    @example(
-        (TAB_DELIMITED, "PT\tPY\tCR\tUT\nJ\t1\tA\tB\nUT\tAU\tCR\tX1\tPY\nC\tD\tE; F\tG\t2\n"),
-        True,
-    )
-    def test_readers_match_reference(self, export, strict):
-        fmt, text = export
-        assert _outcome(parse_export, text, fmt, strict=strict) == _outcome(
-            reference_reader.parse_export, text, fmt, strict=strict
+    @example("PT\tPY\tCR\tUT\nJ\t1\tA\tB\nUT\tAU\tCR\tX1\tPY\nC\tD\tE; F\tG\t2\n", True)
+    def test_readers_match_reference(self, text, strict):
+        assert _outcome(parse_export, text, strict=strict) == _outcome(
+            _reference_parse, text, strict=strict
         )
 
     @settings(max_examples=150)
     @given(_soup_export_st)
-    @example((TAGGED, "PT J\nUT WOS:1\nER\n"))  # a tagged export without its FN header
-    @example((TAGGED, "FNORD\nPT J\nER\n"))  # FN with no space after it is no tag line
-    @example((TAB_DELIMITED, "PT \tPY\tCR\tUT\n"))  # the header rule comes first
-    def test_detect_format_matches_reference(self, export):
-        _, text = export
-
+    @example("PT J\nUT WOS:1\nER\n")  # a tagged export without its FN header
+    @example("FNORD\nPT J\nER\n")  # FN with no space after it is no tag line
+    @example("PT \tPY\tCR\tUT\n")  # the header rule comes first
+    def test_detect_format_matches_reference(self, text):
         def outcome(detect):
             try:
                 return detect(text)
