@@ -113,6 +113,14 @@ CATALOGUE = (
         "len(raw) <= 4 and", "len(raw) <= 5 and",
     ),
     Mutant(
+        "corpus-py-non-ascii-digits", "corpus.py",
+        "raw.isascii() and ", "",
+    ),
+    Mutant(
+        "corpus-journal-first-line", "corpus.py",
+        'journal = raw.joined("SO")', 'journal = raw.first("SO")',
+    ),
+    Mutant(
         "journal-filter-by-upper", "corpus.py",
         "key_token(journal) not in wanted", "journal.upper() not in wanted",
     ),
@@ -158,6 +166,23 @@ CATALOGUE = (
         "inputs-deduplicated-by-name", "cli.py",
         "files.setdefault(Path(name).resolve(), Path(name))",
         "files.setdefault(Path(name), Path(name))",
+    ),
+    Mutant(
+        "cli-malformed-last-file-only", "cli.py",
+        "malformed += diag.malformed_records", "malformed = diag.malformed_records",
+    ),
+    Mutant(
+        "cli-range-hi-exclusive-max", "cli.py",
+        "hi > MAX_RPY", "hi >= MAX_RPY",
+    ),
+    Mutant(
+        "cli-range-four-digit-regex", "cli.py",
+        r"(\d{1,5}):(\d{1,5})", r"(\d{1,4}):(\d{1,4})",
+    ),
+    # Spectrogram.
+    Mutant(
+        "svg-peak-label-unclamped", "svgplot.py",
+        "py = max(y0 + 10, sy(peak.deviation) - 8)", "py = sy(peak.deviation) - 8",
     ),
 )
 

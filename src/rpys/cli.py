@@ -53,7 +53,7 @@ MEDIAN_CSV = "median.csv"
 PEAKS_JSON = "peaks.json"
 SPECTROGRAM_SVG = "spectrogram.svg"
 STATS_CSV = "stats.csv"
-_SLUG_MAX = 255 - len("breakdown_2100_.json")  # 255: the usual file-name limit, in bytes
+_SLUG_MAX = 255 - len(f"breakdown_{MAX_RPY}_.json")  # 255: the usual file-name limit, in bytes
 
 
 class CliError(Exception):
@@ -316,8 +316,7 @@ def _slug(name: str) -> str:
 def cmd_stats(args: argparse.Namespace, corpus: Corpus) -> int:
     stats = corpus_stats(corpus)
     # (journal, records, cited_refs) per journal, then the totals: the table's and the CSV's.
-    rows = [(r.journal, r.records, r.cited_refs) for r in stats.rows]
-    rows.append(("Total", stats.total_records, stats.total_cited_refs))
+    rows = [*stats.rows, ("Total", stats.total_records, stats.total_cited_refs)]
     print(_stats_table(rows))
     if args.out:
         print(f"wrote {_write(args, STATS_CSV, _render_stats_csv(rows))}")

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # spectrum imports this module
 
 __all__ = [
     "Record",
-    "RefKey",
     "Corpus",
     "JournalStats",
     "CorpusStats",

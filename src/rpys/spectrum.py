@@ -19,6 +19,15 @@ from typing import NamedTuple
 from .corpus import Corpus
 from .wos import MAX_RPY
 
+__all__ = [
+    "Spectrum",
+    "DeviationSeries",
+    "Peak",
+    "compute_spectrum",
+    "median_deviation",
+    "detect_peaks",
+]
+
 DEFAULT_MIN_RPY = 1500
 
 

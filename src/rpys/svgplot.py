@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from .spectrum import DeviationSeries, Peak
 
+__all__ = ["render_spectrogram"]
+
 WIDTH = 920
 HEIGHT = 460
 MARGIN_LEFT = 64
@@ -119,9 +121,9 @@ def render_spectrogram(
         tick += ystep
 
     xstep = max(1, int(_tick_step(last - first)))
-    year = first + (-first) % xstep  # first multiple of xstep >= first
-    xticks = list(range(year, last + 1, xstep)) or [first]
-    for year in xticks:
+    # From the first multiple of xstep >= first, which is at most last:
+    # xstep <= max(1, last - first), since _tick_step(span) <= max(1, span).
+    for year in range(first + (-first) % xstep, last + 1, xstep):
         px = sx(year)
         parts.append(_line("axis", px, y1, px, y1 + 5))
         parts.append(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import string
 from functools import lru_cache
 
+__all__ = ["UNKNOWN_AUTHOR"]
+
 UNKNOWN_AUTHOR = "UNKNOWN"
 
 # ASCII punctuation minus the hyphen, which is meaningful in abbreviated

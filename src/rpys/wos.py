@@ -56,6 +56,20 @@ from typing import NamedTuple
 
 from .textnorm import UNKNOWN_AUTHOR, key_token
 
+__all__ = [
+    "TAGGED",
+    "TAB_DELIMITED",
+    "RawRecord",
+    "ParseDiagnostics",
+    "UnrecognizedFormatError",
+    "ExportParseError",
+    "detect_format",
+    "parse_export",
+    "parse_cited_reference",
+    "load_export",
+    "RefKey",
+]
+
 TAGGED = "tagged"
 TAB_DELIMITED = "tab_delimited"
 

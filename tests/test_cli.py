@@ -161,6 +161,13 @@ class TestSpectrumCommand:
         assert rpys_lines[-1] == "1907,0"
         assert len(rpys_lines) == 1 + 9
 
+    def test_range_up_to_max_rpy(self, spike_export, tmp_path):
+        # MAX_RPY, the documented upper edge, is a valid upper bound.
+        out = tmp_path / "out"
+        argv = ["spectrum", "--input", spike_export, "--range", "1900:2100", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "rpys.csv").read_text(encoding="utf-8").splitlines()[-1] == "2100,0"
+
     def test_range_filters_and_reports_dropped(self, spike_export, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(
@@ -346,6 +353,16 @@ class TestPlotCommand:
         assert main(["plot", *argv]) == 1
         assert (out / "spectrogram.svg").exists()
 
+    def test_peak_label_at_the_top_edge_stays_inside(self, tmp_path):
+        # 1903's deviation is the largest value on the y axis, so its point
+        # lies on the top edge, y0 = 30: its label is held at y0 + 10.
+        crs = lines_for_counts({1903: 5})
+        path = write_export(tmp_path / "top.txt", [citing_record("WOS:1", crs=crs)])
+        out = tmp_path / "out"
+        assert main(["plot", "--input", path, "--range", "1901:1905", "--out", str(out)]) == 0
+        svg = (out / "spectrogram.svg").read_text(encoding="utf-8")
+        assert '<text class="peak-label" x="480.00" y="40.00">1903</text>' in svg
+
     def test_rerun_is_byte_identical(self, spike_export, tmp_path):
         out = tmp_path / "out"
         main(["plot", "--input", spike_export, "--out", str(out)])
@@ -370,6 +387,17 @@ class TestFlagsAndErrors:
         assert captured.err == "rpys: excluded 1 record(s) by the journal filter\n"
         assert main(["stats", "--input", path]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_journal_filter_reads_a_wrapped_title_whole(self, tmp_path, capsys):
+        # A source title wrapped over a continuation line is matched in full.
+        record = citing_record("WOS:1", journal="BRITISH JOURNAL FOR THE")
+        record["SO"].append("PHILOSOPHY OF SCIENCE")
+        path = write_export(tmp_path / "wrapped.txt", [record])
+        journal = "British Journal for the Philosophy of Science"
+        assert main(["stats", "--input", path, "--journals", journal]) == 0
+        captured = capsys.readouterr()
+        assert "BRITISH JOURNAL FOR THE PHILOSOPHY OF SCIENCE  " in captured.out
+        assert captured.err == ""
 
     def test_journal_filter_normalizes_the_record_title_too(self, tmp_path, capsys):
         path = write_export(tmp_path / "phil.txt", [citing_record("WOS:1", journal="Phil. Sci.")])
@@ -492,6 +520,12 @@ class TestFlagsAndErrors:
         assert main(["spectrum", "--input", spike_export, "--range", "999:1905"]) == 2
         assert main(["spectrum", "--input", spike_export, "--range", "1900:2101"]) == 2
         assert "--range" in capsys.readouterr().err
+
+    def test_five_digit_range_bound_is_out_of_window(self, spike_export, capsys):
+        assert main(["spectrum", "--input", spike_export, "--range", "0:99999"]) == 2
+        assert capsys.readouterr().err == (
+            "rpys: invalid --range '0:99999': years must lie within 1000:2100\n"
+        )
 
     def test_bad_top_exits_two(self, spike_export):
         assert main(["peaks", "--input", spike_export, "--top", "0"]) == 2
@@ -647,6 +681,16 @@ class TestFlagsAndErrors:
         assert main(["stats", "--input", str(path)]) == 0
         captured = capsys.readouterr()
         assert "malformed" in captured.err
+
+    def test_malformed_blocks_are_counted_over_every_file(self, tmp_path, capsys):
+        for uid in (1, 2):
+            (tmp_path / f"trunc{uid}.txt").write_text(
+                f"FN WoS\nVR 1.0\nPT J\nSO X\nPY 2000\nUT WOS:{uid}\nER\n"
+                f"PT J\nSO X\nPY 2001\nUT WOS:{uid}0\nEF\n",  # second block missing ER
+                encoding="utf-8",
+            )
+        assert main(["stats", "--input", str(tmp_path / "trunc*.txt")]) == 0
+        assert capsys.readouterr().err == "rpys: skipped 2 malformed record block(s)\n"
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"])
     @pytest.mark.parametrize("strict", [False, True])

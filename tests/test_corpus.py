@@ -308,6 +308,18 @@ class TestBuildCorpus:
         assert corpus.records == ()
         assert diag.excluded_missing_fields == 1
 
+    @pytest.mark.parametrize("py", ["\u0661\u0669\u0669\u0660", "\u00b9\u2079\u2079\u2070"])
+    def test_non_ascii_digit_py_treated_as_missing(self, py):
+        # Arabic-Indic digits, which int() reads, and superscripts, which
+        # only isdigit() accepts: neither reads as a year or raises ValueError.
+        blocks = [citing_record("WOS:1")]
+        blocks[0]["PY"] = [py]
+        corpus, diag = build_corpus(_parse(blocks))
+        assert corpus.records == ()
+        assert diag.excluded_missing_fields == 1
+        with pytest.raises(CorpusError, match="invalid PY"):
+            build_corpus(_parse(blocks), strict=True)
+
     def test_merge_order_does_not_change_record_set(self):
         batch_a = _parse([citing_record("WOS:1"), citing_record("WOS:2")])
         batch_b = _parse([citing_record("WOS:2"), citing_record("WOS:3")])

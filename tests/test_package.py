@@ -6,6 +6,7 @@ from __future__ import annotations
 import re
 import shutil
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -68,6 +69,19 @@ def test_all_is_the_public_set():
     assert len(rpys.__all__) == len(PUBLIC) == 36
     assert set(rpys.__all__) == PUBLIC
     assert all(hasattr(rpys, name) for name in PUBLIC)
+
+
+def test_each_public_name_is_declared_once():
+    # Every name but __version__ is in exactly one module's __all__, and a
+    # class or function there is that module's own, not one it imports.
+    modules = [rpys.textnorm, rpys.wos, rpys.corpus, rpys.spectrum, rpys.svgplot]
+    declared = [(name, module) for module in modules for name in module.__all__]
+    assert sorted(name for name, _ in declared) == sorted(set(rpys.__all__) - {"__version__"})
+    for name, module in declared:
+        value = getattr(rpys, name)
+        assert value is getattr(module, name), name
+        if isinstance(value, (type, FunctionType)):
+            assert value.__module__ == module.__name__, name
 
 
 def test_drill_names_are_those_of_corpus():
