@@ -6,7 +6,6 @@ peak years, and drill into each peak's most-cited authors and works.
 Each module's ``__all__`` lists the names the package exports from it.
 """
 
-from .textnorm import *
 from .wos import *
 from .corpus import *
 from .spectrum import *
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    *textnorm.__all__,
     *wos.__all__,
     *corpus.__all__,
     *spectrum.__all__,

@@ -35,12 +35,13 @@ from .spectrum import (
     median_deviation,
 )
 from .svgplot import render_spectrogram
-from .textnorm import UNKNOWN_AUTHOR, key_token
 from .wos import (
     MAX_RPY,
     MIN_RPY,
+    UNKNOWN_AUTHOR,
     ExportParseError,
     UnrecognizedFormatError,
+    key_token,
     load_export,
 )
 

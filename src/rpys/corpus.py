@@ -31,8 +31,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .textnorm import UNKNOWN_AUTHOR, key_token
-from .wos import RawRecord, RefKey, cited_year, parse_cited_reference
+from .wos import UNKNOWN_AUTHOR, RawRecord, RefKey, cited_year, key_token, parse_cited_reference
 
 if TYPE_CHECKING:  # spectrum imports this module
     from .spectrum import Peak

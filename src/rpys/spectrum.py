@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple
 
 from .corpus import Corpus
-from .wos import MAX_RPY
 
 __all__ = [
     "Spectrum",
@@ -115,8 +114,7 @@ def compute_spectrum(
         if lo > hi:
             raise ValueError(f"invalid year range {lo}:{hi}")
     else:
-        newest = corpus.max_pub_year
-        lo, hi = DEFAULT_MIN_RPY, newest if newest is not None else MAX_RPY
+        lo, hi = DEFAULT_MIN_RPY, corpus.max_pub_year
 
     by_year = corpus.by_year
     without_year = by_year[None].total() if None in by_year else 0

@@ -72,11 +72,8 @@ def _axes(parts: list[str], x0: float, x1: float, y0: float, y1: float) -> None:
     parts.append(_line("axis", x0, y1, x1, y1))
 
 
-def render_spectrogram(
-    series: DeviationSeries | None, peaks: list[Peak] | None = None
-) -> str:
+def render_spectrogram(series: DeviationSeries | None, peaks: list[Peak]) -> str:
     """Render the spectrogram document; empty input gives bare axes."""
-    peaks = peaks or []
     parts: list[str] = []
     _open_svg(parts)
 

@@ -36,13 +36,19 @@ A cited reference is the compact comma-separated string WoS stores per
 citation, e.g. ``EINSTEIN A, 1905, ANN PHYS-BERLIN, V17, P891``, parsed
 here into the :class:`RefKey` of the work it cites: author / year /
 source / volume / page, each text field in its ``key_token`` form.
-``key_token`` memoizes, so a segment repeated across strings is
-normalized about once.  A year is read by one lookup in a table of the
-strings of the years ``MIN_RPY..MAX_RPY``.
+A year is read by one lookup in a table of the strings of the years
+``MIN_RPY..MAX_RPY``.
 Parsing is total on any non-blank line: a line that matches nothing
 keys as an ``UNKNOWN`` author with no year.  A blank line raises
 ``ValueError``; both export readers drop blank CR lines before they
 reach the parser.
+
+Cited-reference strings come out of decades of export tooling with
+inconsistent casing, punctuation and spacing, so all grouping in this
+package compares the ``key_token`` forms of their fields, never the raw
+text.  The forms are memoized in a bounded least-recently-used table: a
+string's segments repeat far more than the strings do, so each distinct
+segment is normalized about once.
 """
 
 from __future__ import annotations
@@ -51,10 +57,9 @@ import codecs
 import re
 import string
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
-
-from .textnorm import UNKNOWN_AUTHOR, key_token
 
 __all__ = [
     "TAGGED",
@@ -68,6 +73,7 @@ __all__ = [
     "parse_cited_reference",
     "load_export",
     "RefKey",
+    "UNKNOWN_AUTHOR",
 ]
 
 TAGGED = "tagged"
@@ -93,6 +99,27 @@ MAX_RPY = 2100
 # Every segment that reads as a year, and its year: one lookup per
 # segment, and only ASCII digits match.
 _YEARS = {str(year): year for year in range(MIN_RPY, MAX_RPY + 1)}
+
+UNKNOWN_AUTHOR = "UNKNOWN"
+
+# ASCII punctuation minus the hyphen, which is meaningful in abbreviated
+# source titles ("ANN PHYS-BERLIN").
+_KEY_PUNCT = {ord(ch): None for ch in string.punctuation if ch != "-"}
+
+# Bounded, so memory stays flat: full, the memo holds about 2.5 MB of
+# 20-character forms besides their segments.
+KEY_TOKEN_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=KEY_TOKEN_MEMO_SIZE)
+def key_token(value: str) -> str:
+    """Normalize a field for identity comparison: uppercase, strip ASCII
+    punctuation except hyphens, collapse whitespace.
+
+    Memoized, at most ``KEY_TOKEN_MEMO_SIZE`` values; ``key_token.__wrapped__``
+    is the same function without the memo."""
+    cleaned = value.translate(_KEY_PUNCT).upper()
+    return " ".join(cleaned.split())
 
 
 class UnrecognizedFormatError(ValueError):

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from rpys import textnorm
-from rpys.textnorm import UNKNOWN_AUTHOR
+from rpys import wos
+from rpys.wos import UNKNOWN_AUTHOR
 
-key_token = textnorm.key_token.__wrapped__
+key_token = wos.key_token.__wrapped__
 
 
 @dataclass(frozen=True, order=True, slots=True)

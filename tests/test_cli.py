@@ -6,6 +6,7 @@ import argparse
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -439,6 +440,13 @@ class TestFlagsAndErrors:
         assert lines[1:] == ["1950,1", "1951,1"]
         assert capsys.readouterr().err == "rpys: skipped 1 duplicate record(s)\n"
 
+    def test_double_star_pattern_matches_any_depth(self, tmp_path, capsys):
+        nested = tmp_path / "a" / "b"
+        nested.mkdir(parents=True)
+        shutil.copy(Path(__file__).parent / "fixtures" / "pinned_tagged.txt", nested / "x.txt")
+        assert main(["stats", "--input", str(tmp_path / "**" / "*.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["Total", "4", "56"]
+
     def test_literal_input_with_glob_metacharacters(self, tmp_path, capsys):
         # An existing file is taken literally, not globbed, even where its
         # name read as a pattern would match another file.
@@ -628,10 +636,11 @@ class TestFlagsAndErrors:
         [
             (".", "--author '.' has no name after normalization"),
             ("\udcff", "--author '\\udcff' is not valid text"),
+            ("\ud800", "--author '\\ud800' is not valid text"),
             ("UNKNOWN", "cannot break down the unattributed bucket by work"),
             (" unknown. ", "cannot break down the unattributed bucket by work"),
         ],
-        ids=["no-name", "surrogate", "unknown", "padded-unknown"],
+        ids=["no-name", "surrogate", "high-surrogate", "unknown", "padded-unknown"],
     )
     def test_drill_author_check_exits_two(self, spike_export, tmp_path, capsys, author, message):
         out = tmp_path / "out"

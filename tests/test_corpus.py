@@ -31,7 +31,7 @@ from rpys import (
     profile_all_peaks,
 )
 
-from rpys.textnorm import key_token
+from rpys.wos import key_token
 
 import refkey_oracle
 from conftest import citing_record, tagged_export

@@ -35,8 +35,7 @@ from rpys import (
     profile_all_peaks,
     round_share,
 )
-from rpys.textnorm import key_token
-from rpys.wos import cited_year
+from rpys.wos import cited_year, key_token
 
 from conftest import citing_record, drill_1905_crs, tagged_export
 

@@ -22,7 +22,7 @@ from rpys import (
     parse_cited_reference,
     parse_export,
 )
-from rpys import textnorm
+from rpys import wos
 from rpys.wos import (
     MAX_RPY,
     MIN_RPY,
@@ -894,14 +894,14 @@ class TestYearRead:
 
 class TestKeyTokenMemo:
     def test_memo_is_bounded(self):
-        info = textnorm.key_token.cache_info()
-        assert info.maxsize == textnorm.KEY_TOKEN_MEMO_SIZE > 0  # None is unbounded
+        info = wos.key_token.cache_info()
+        assert info.maxsize == wos.KEY_TOKEN_MEMO_SIZE > 0  # None is unbounded
         assert info.currsize <= info.maxsize
 
     @settings(max_examples=500)
     @given(_cr_line_st)
     def test_cleared_and_warm_memo_parse_alike(self, line):
-        textnorm.key_token.cache_clear()
+        wos.key_token.cache_clear()
         cold = parse_cited_reference(line)
         assert parse_cited_reference(line) == cold
         assert cold == _key_form(line)
