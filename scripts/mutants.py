@@ -16,17 +16,19 @@ fails, and the first failing test is reported, with a note when it is
 not the catalogued killer; it survived when every test passes.
 
 Before any run, every catalogue text must occur exactly once in its
-module and every killer's test file must exist, so the catalogue cannot
-go stale without notice, and the unmutated copy must pass; either
-failure exits 2.  The exit status is 1 if any mutant survives, else 0.
-This is not part of tier-1: a mutant its killer still fails costs one
-test, any other up to one tier-1 run, a survivor a whole one.
+module and every killer's class and function must be defined in its
+test file (read with ``ast``), so the catalogue cannot go stale without
+notice, and the unmutated copy must pass; either failure exits 2.  The
+exit status is 1 if any mutant survives, else 0.  This is not part of
+tier-1: a mutant its killer still fails costs one test, any other up to
+one tier-1 run, a survivor a whole one.
 
 Usage: python scripts/mutants.py
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -73,6 +75,12 @@ CATALOGUE = (
         "tests/test_acceptance.py::test_c3_median_against_brute_force_oracle",
     ),
     # Spectrum range.
+    Mutant(
+        "count-at-unclamped", "spectrum.py",
+        "if self.year_range is None or not self.year_range[0] <= year <= self.year_range[1]:",
+        "if self.year_range is None:",
+        "tests/test_spectrum.py::TestComputeSpectrum::test_count_at_outside_the_range_is_zero",
+    ),
     Mutant(
         "range-upper-bound-exclusive", "spectrum.py",
         "lo <= year <= hi", "lo <= year < hi",
@@ -121,6 +129,11 @@ CATALOGUE = (
         "tests/test_corpus.py::TestBuildCorpus::test_surrogate_uid_reads_each_descriptive_field[AU]",
     ),
     Mutant(
+        "surrogate-uid-py-not-optional", "corpus.py",
+        '(record.first("PY") or "").strip(),', 'record.first("PY").strip(),',
+        "tests/test_corpus.py::TestBuildCorpus::test_surrogate_uid_of_a_record_without_descriptive_fields",
+    ),
+    Mutant(
         "surrogate-uid-without-ti", "corpus.py",
         'record.joined("TI") or "",', '"",',
         "tests/test_corpus.py::TestBuildCorpus::test_surrogate_uid_reads_each_descriptive_field[TI]",
@@ -128,12 +141,22 @@ CATALOGUE = (
     Mutant(
         "five-digit-py", "corpus.py",
         "len(raw) <= 4 and", "len(raw) <= 5 and",
-        "tests/test_corpus.py::TestBuildCorpus::test_build_matches_reference_and_parses_on_demand",
+        "tests/test_corpus.py::TestBuildCorpus::test_five_digit_py_is_invalid",
     ),
     Mutant(
         "corpus-py-non-ascii-digits", "corpus.py",
         "raw.isascii() and ", "",
         "tests/test_corpus.py::TestBuildCorpus::test_non_ascii_digit_py_treated_as_missing[\\u0661\\u0669\\u0669\\u0660]",
+    ),
+    Mutant(
+        "strict-always-names-py", "corpus.py",
+        'missing = "PY" if journal is not None else "SO"', 'missing = "PY"',
+        "tests/test_corpus.py::TestBuildCorpus::test_strict_names_the_missing_field[no-SO]",
+    ),
+    Mutant(
+        "corpus-eq-any-type", "corpus.py",
+        " if type(other) is type(self) else NotImplemented", "",
+        "tests/test_corpus.py::test_corpus_equals_only_a_corpus",
     ),
     Mutant(
         "corpus-journal-first-line", "corpus.py",
@@ -169,8 +192,8 @@ CATALOGUE = (
     ),
     Mutant(
         "header-without-cr", "wos.py",
-        'if len(cells) > 1 and "PY" in cells and "CR" in cells:',
-        'if len(cells) > 1 and "PY" in cells:',
+        'if "PY" in cells and "CR" in cells:',
+        'if "PY" in cells:',
         "tests/test_wos_parser.py::TestDetectFormat::test_near_misses_are_unrecognized[PY\\tUT]",
     ),
     Mutant(
@@ -180,6 +203,11 @@ CATALOGUE = (
         "tests/test_cli.py::TestStats::test_overlong_pub_year_is_invalid[tsv]",
     ),
     Mutant(
+        "blank-title-is-a-title", "wos.py",
+        "strip() for v in values).strip() or None", "strip() for v in values).strip()",
+        "tests/test_corpus.py::TestBuildCorpus::test_strict_names_the_missing_field[blank-SO]",
+    ),
+    Mutant(
         "whole-file-latin-1", "wos.py",
         "    except UnicodeDecodeError:\n        pass\n",
         '    except UnicodeDecodeError:\n        return data.decode("latin-1")\n',
@@ -187,8 +215,8 @@ CATALOGUE = (
     ),
     Mutant(
         "cited-year-without-strip-fallback", "wos.py",
-        "if seg in _YEARS or (seg := seg.strip()) in _YEARS:", "if seg in _YEARS:",
-        "tests/test_profiles.py::test_drills_match_per_line_reference",
+        "if (seg := seg.strip()) in _YEARS:", "if seg in _YEARS:",
+        "tests/test_wos_parser.py::TestCitedReferenceGrammar::test_padded_year_segment_is_read",
     ),
     # Command line.
     Mutant(
@@ -224,6 +252,11 @@ CATALOGUE = (
     ),
     # Spectrogram.
     Mutant(
+        "tick-step-two-and-a-half", "svgplot.py",
+        "factors = (2.0, 2.5, 2.0)", "factors = (2.5, 2.0, 2.0)",
+        "tests/test_spectrum.py::TestSpectrogramTicks::test_y_labels_are_integers_one_step_apart[0]",
+    ),
+    Mutant(
         "svg-peak-label-unclamped", "svgplot.py",
         "py = max(y0 + 10, sy(peak.deviation) - 8)", "py = sy(peak.deviation) - 8",
         "tests/test_cli.py::TestPlotCommand::test_peak_label_at_the_top_edge_stays_inside",
@@ -231,17 +264,34 @@ CATALOGUE = (
 )
 
 
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether the file at ``path`` defines the class or function reached
+    through ``names``, each one defined in the body of the one before."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        defs = (n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)))
+        node = next((n for n in defs if n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
 def stale_entries() -> list[str]:
-    """One message per mutant whose text does not occur exactly once, and
-    one per mutant whose killer's test file is missing."""
+    """One message per mutant whose text does not occur exactly once, one
+    per mutant whose killer's test file is missing, and one per mutant
+    whose killer that file does not define (any ``[...]`` parameters of
+    the node id aside)."""
     problems = []
     for m in CATALOGUE:
         found = (ROOT / "src" / "rpys" / m.module).read_text(encoding="utf-8").count(m.text)
         if found != 1:
             problems.append(f"{m.name}: text occurs {found} times in {m.module}")
-        killer_file = m.killer.split("::")[0]
+        killer_file, _, names = m.killer.partition("[")[0].partition("::")
         if not (ROOT / killer_file).is_file():
             problems.append(f"{m.name}: killer's test file {killer_file} is missing")
+        elif not _defines(ROOT / killer_file, names.split("::")):
+            problems.append(f"{m.name}: killer {names} is not defined in {killer_file}")
     return problems
 
 

@@ -202,9 +202,7 @@ def detect_peaks(
         hits.append((d, start + i))
 
     hits.sort(key=lambda item: (-item[0], item[1]))
-    if top_k is not None:
-        hits = hits[:top_k]
     return [
         Peak(year=year, deviation=d, n_cr=series.row(year)[0], rank=rank)
-        for rank, (d, year) in enumerate(hits, start=1)
+        for rank, (d, year) in enumerate(hits[:top_k], start=1)  # [:None] keeps all
     ]

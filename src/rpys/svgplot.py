@@ -111,9 +111,8 @@ def render_spectrogram(series: DeviationSeries | None, peaks: list[Peak]) -> str
     while tick <= v_hi:
         py = sy(tick)
         parts.append(_line("grid", x0, py, x1, py))
-        label = str(int(tick)) if float(tick).is_integer() else _fmt(tick)
         parts.append(
-            f'<text class="tick-y" x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}">{label}</text>'
+            f'<text class="tick-y" x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}">{int(tick)}</text>'
         )
         tick += ystep
 

@@ -221,11 +221,10 @@ def _normalized(text: str) -> str:
 def _header_cells(line: str) -> list[str] | None:
     """A tab-delimited header's stripped cells, or None for any other line.
 
-    A header has more than one tab-separated cell, and two of them are
-    the PY and CR tags.
+    Two of a header's tab-separated cells are the PY and CR tags.
     """
     cells = [cell.strip() for cell in line.lstrip("\ufeff").split("\t")]
-    if len(cells) > 1 and "PY" in cells and "CR" in cells:
+    if "PY" in cells and "CR" in cells:
         return cells
     return None
 
@@ -238,11 +237,11 @@ def _is_tag_line(line: str) -> bool:
 def detect_format(text: str) -> str:
     """Classify an export by its first line, after any byte-order mark.
 
-    A tab-separated header with more than one cell, naming the PY and CR
-    tags, marks a tab-delimited export; it is tested first, so a padded
-    first cell (``PT \t...``) is no tag line.  Else a tag line (a tag,
-    then nothing or a space) marks a tagged export: ``FN ...``, or the
-    ``PT J`` or ``VR 1.0`` of one without its ``FN`` header.  Anything else
+    A tab-separated header whose cells name the PY and CR tags marks a
+    tab-delimited export; it is tested first, so a padded first cell
+    (``PT \t...``) is no tag line.  Else a tag line (a tag, then nothing
+    or a space) marks a tagged export: ``FN ...``, or the ``PT J`` or
+    ``VR 1.0`` of one without its ``FN`` header.  Anything else
     raises :class:`UnrecognizedFormatError`.
     """
     end = text.find("\n")
@@ -344,7 +343,7 @@ def _parse_tagged(text: str, defect: _Defect) -> list[RawRecord]:
         # one, the first that is not blank is a defect.
         if tags is not None:
             values.extend(more)
-        elif more and not skipping:
+        elif not skipping:
             for offset, cont in enumerate(more, start=1):
                 if cont.strip():
                     if ended:
@@ -378,17 +377,10 @@ def _parse_tab_delimited(text: str, defect: _Defect) -> list[RawRecord]:
         if len(cells) != len(header):
             defect(lineno, f"expected {len(header)} columns, found {len(cells)}")
             continue
-        tags: dict[str, tuple[str, ...]] = {}
-        for idx, tag in columns:
-            value = cells[idx].strip()
-            if not value:
-                continue
-            if tag == "CR":
-                refs = tuple(filter(None, map(str.strip, value.split("; "))))
-                if refs:
-                    tags[tag] = refs
-            else:
-                tags[tag] = (value,)
+        tags = {tag: (value,) for idx, tag in columns if (value := cells[idx].strip())}
+        if "CR" in tags:
+            # Never empty: a stripped cell's last piece ends in no space.
+            tags["CR"] = tuple(filter(None, map(str.strip, tags["CR"][0].split("; "))))
         records.append(RawRecord(tags))
 
     return records
@@ -401,7 +393,7 @@ def cited_year(cr_line: str) -> int | None:
     (1905, None)
     """
     for seg in cr_line.strip().split(", "):
-        if seg in _YEARS or (seg := seg.strip()) in _YEARS:
+        if (seg := seg.strip()) in _YEARS:
             return _YEARS[seg]
     return None
 
@@ -446,7 +438,7 @@ def parse_cited_reference(cr_line: str) -> RefKey:
             volume = volume or key_token(seg[1:])  # never empty: it starts with a digit
         elif head == "P" and seg[1:].isalnum():
             page = page or key_token(seg[1:])  # never empty: alphanumeric
-        elif seg and idx - 1 == year_idx and not seg.startswith("DOI "):
+        elif idx - 1 == year_idx and not seg.startswith("DOI "):
             source = key_token(seg)
     # Positional, in field order: keywords add about 15% to a warm parse.
     return RefKey(author, year, source, volume, page)

@@ -258,6 +258,13 @@ def test_record_is_a_plain_tuple_of_its_fields():
     assert record.pub_year == 2010
 
 
+def test_corpus_equals_only_a_corpus():
+    corpus = Corpus((Record("WOS:1", "J", 2010, ()),))
+    assert corpus == Corpus((Record("WOS:1", "J", 2010, ()),))
+    assert corpus.__eq__(corpus.records) is NotImplemented
+    assert corpus != corpus.records
+
+
 class TestBuildCorpus:
     def test_duplicate_uid_kept_once(self):
         first = _parse([citing_record("WOS:1", crs=["KUHN TS, 1962, STRUCTURE SCI REVOLU"])])
@@ -301,6 +308,20 @@ class TestBuildCorpus:
             build_corpus(_parse(blocks), strict=True)
         assert "WOS:1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "fields, missing",
+        [({"SO": None}, "SO"), ({"SO": [""]}, "SO"), ({"SO": None, "PY": None}, "SO")],
+        ids=["no-SO", "blank-SO", "neither"],
+    )
+    def test_strict_names_the_missing_field(self, fields, missing):
+        # None drops the field; a blank title joins to no title.
+        block = citing_record("WOS:1") | fields
+        blocks = [{tag: values for tag, values in block.items() if values is not None}]
+        corpus, diag = build_corpus(_parse(blocks))
+        assert (corpus.records, diag.excluded_missing_fields) == ((), 1)
+        with pytest.raises(CorpusError, match=f"record WOS:1: missing or invalid {missing} field"):
+            build_corpus(_parse(blocks), strict=True)
+
     def test_non_numeric_py_treated_as_missing(self):
         blocks = [citing_record("WOS:1")]
         blocks[0]["PY"] = ["circa 2010"]
@@ -320,6 +341,16 @@ class TestBuildCorpus:
         with pytest.raises(CorpusError, match="invalid PY"):
             build_corpus(_parse(blocks), strict=True)
 
+    def test_five_digit_py_is_invalid(self):
+        # Past four digits a PY is no year; padding around four is stripped.
+        blocks = [citing_record("WOS:1"), citing_record("WOS:2")]
+        blocks[0]["PY"], blocks[1]["PY"] = ["20100"], [" 2010 "]
+        corpus, diag = build_corpus(_parse(blocks))
+        assert [(r.uid, r.pub_year) for r in corpus.records] == [("WOS:2", 2010)]
+        assert diag.excluded_missing_fields == 1
+        with pytest.raises(CorpusError, match="invalid PY"):
+            build_corpus(_parse(blocks[:1]), strict=True)
+
     def test_merge_order_does_not_change_record_set(self):
         batch_a = _parse([citing_record("WOS:1"), citing_record("WOS:2")])
         batch_b = _parse([citing_record("WOS:2"), citing_record("WOS:3")])
@@ -336,6 +367,13 @@ class TestBuildCorpus:
         assert len(corpus.records) == 1
         assert diag.duplicates_skipped == 1
         assert corpus.records[0].uid.startswith("SYN:")
+
+    def test_surrogate_uid_of_a_record_without_descriptive_fields(self):
+        # Each absent field hashes as "", so two bare records are one uid.
+        blocks = [{"PT": ["J"], "CR": ["A B, 1950, X"]}] * 2
+        corpus, diag = build_corpus(_parse(blocks))
+        assert corpus.records == ()
+        assert (diag.excluded_missing_fields, diag.duplicates_skipped) == (1, 1)
 
     def test_surrogate_uid_distinguishes_different_records(self):
         blocks = [citing_record("WOS:1", year=2010), citing_record("WOS:2", year=2011)]

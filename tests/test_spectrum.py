@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import statistics
 from fractions import Fraction
@@ -17,6 +18,7 @@ from rpys import (
     compute_spectrum,
     detect_peaks,
     median_deviation,
+    render_spectrogram,
 )
 from rpys.cli import main
 
@@ -78,6 +80,12 @@ class TestComputeSpectrum:
         assert spectrum.count_at(1905) == 2
         assert spectrum.count_at(1950) == 1
         assert spectrum.total == 3
+
+    def test_count_at_outside_the_range_is_zero(self):
+        spectrum = compute_spectrum(corpus_of_years([1905, 1950]), (1900, 1950))
+        assert [spectrum.count_at(y) for y in (1899, 1900, 1905, 1950, 1951)] == [0, 0, 1, 1, 0]
+        empty = compute_spectrum(Corpus(()))
+        assert empty.is_empty and empty.count_at(1905) == 0
 
     def test_out_of_range_year_dropped(self):
         # A parsed year is never below 1000; the default floor is 1500.
@@ -309,3 +317,21 @@ class TestOneYearSpectrum:
         # Both curves are one point each, at the centre of the x axis.
         assert len(points) == 2
         assert all(re.fullmatch(r"480\.00,\d+\.\d\d", p) for p in points)
+
+
+class TestSpectrogramTicks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_y_labels_are_integers_one_step_apart(self, seed):
+        # Every y tick is a multiple of a 1/2/5 x 10^k step, so its label
+        # is the tick as an integer.
+        rng = random.Random(seed)
+        for _ in range(100):
+            top = 10 ** rng.randint(0, 12)
+            counts = [rng.randint(0, top) for _ in range(rng.randint(1, 60))]
+            series = median_deviation(spectrum_of_counts(counts))
+            svg = render_spectrogram(series, detect_peaks(series))
+            labels = re.findall(r'<text class="tick-y" [^>]*>([^<]*)</text>', svg)
+            assert labels and all(re.fullmatch(r"-?[0-9]+", label) for label in labels)
+            steps = {int(b) - int(a) for a, b in zip(labels, labels[1:])}
+            assert len(steps) <= 1
+            assert all(str(step).rstrip("0") in ("1", "2", "5") for step in steps)

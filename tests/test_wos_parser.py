@@ -18,6 +18,7 @@ from rpys import (
     UnrecognizedFormatError,
     build_corpus,
     detect_format,
+    drill_year,
     load_export,
     parse_cited_reference,
     parse_export,
@@ -34,7 +35,7 @@ from rpys.wos import (
 
 import reference_reader
 import refkey_oracle
-from conftest import THREE_RECORD_EXPORT, citing_record, tagged_export
+from conftest import THREE_RECORD_EXPORT, citing_record, corpus_from_text, tagged_export
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -395,6 +396,28 @@ class TestTabDelimited:
         records, diag = parse_export(f"{self.HEADER}\n{row}", strict=True)
         assert [r.first("TI") for r in records] == ["COPY OF PY"]
 
+    @pytest.mark.parametrize(
+        "header, row, crs",
+        [
+            # A non-blank CR cell ends in no space, so neither does its
+            # last "; " piece: the field is never empty.
+            (HEADER, "J\tA\tT\tX\t2010\t; ;\tWOS:1", (";",)),
+            (HEADER, "J\tA\tT\tX\t2010\t;  ; A B, 1950, X\tWOS:1", ("A B, 1950, X",)),
+            # Of two CR columns, the last non-blank one is read.
+            ("UT\tCR\tPY\tCR", "WOS:1\tA B, 1950, X\t2010\t ", ("A B, 1950, X",)),
+            ("UT\tCR\tPY\tCR", "WOS:1\t\t2010\tC D, 1951, Y", ("C D, 1951, Y",)),
+            ("UT\tCR\tPY\tCR", "WOS:1\tA B, 1950, X\t2010\tC D, 1951, Y", ("C D, 1951, Y",)),
+        ],
+    )
+    def test_cr_cells_read_as_the_reference_reads_them(self, header, row, crs):
+        text = f"{header}\n{row}\n"
+        records, diag = parse_export(text, strict=True)
+        assert (records[0].get("CR"), diag.cr_lines_parsed) == (crs, len(crs))
+        assert _outcome(parse_export, text) == _outcome(_reference_parse, text)
+        # Tags keep their columns' order, a repeated tag its first column's.
+        [reference] = _reference_parse(text)[0]
+        assert list(records[0].tags) == list(reference.tags)
+
 
 _TAG_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 _tag_st = st.text(alphabet=_TAG_ALPHABET, min_size=2, max_size=2).filter(
@@ -524,6 +547,13 @@ class TestCitedReferenceGrammar:
     def test_year_outside_parse_window_ignored(self):
         assert parse_cited_reference("DOE J, 2101, FUTURE STUD").year is None
         assert parse_cited_reference("MARX K, 0867, DAS KAPITAL").year is None
+
+    def test_padded_year_segment_is_read(self):
+        # A doubled space leaves " 1962" after the split; stripped, it is the year.
+        line = "KUHN T,  1962, STRUCT SCI REVOL"
+        assert cited_year(line) == parse_cited_reference(line).year == 1962
+        corpus = corpus_from_text(tagged_export([citing_record("WOS:1", crs=[line])]))
+        assert drill_year(corpus, 1962).total_refs == 1  # read by cited_year, before by_year
 
     def test_first_volume_and_page_win(self):
         ref = parse_cited_reference("QUINE WV, 1951, PHILOS REV, V60, P20, V61, P99")
